@@ -3,44 +3,38 @@
 Architecture (DESIGN.md §2, the standard distributed-MCE layout of e.g.
 Xu et al. [17]):
 
-1. The driver collects the (small) canonical edge list, applies graph
-   reduction (GR) and computes the exact orderings — the truss-based edge
-   order for hybrid/edge frameworks, the degeneracy order for vertex
-   frameworks. Orderings are inherently sequential peels; their output plus
-   the reduced adjacency is broadcast to every task.
-2. Root branches — one per truss-ordered edge (hybrid/edge) or one per
-   degeneracy-ordered vertex (vertex) — become rows of a DataFrame. They are
-   salted round-robin in descending order of estimated cost (the candidate
-   count) so every partition gets a balanced mix of heavy and light
-   branches.
-3. ``groupBy(salt).applyInPandas`` runs the sequential kernel of
-   ``repro.core`` on each group's branches and emits one row per maximal
-   clique (``kind='clique'``, payload = comma-joined vertex ids) plus one
-   counter row per group (``kind='stats'``, payload = JSON) — strings, so
-   results stay orderable/joinable.
-4. The driver adds the branches it owns (GR cliques, root isolated
-   vertices) and splits the result into a clique DataFrame and aggregated
-   ``BranchStats``.
+1. The driver collects the (small) canonical edge list and calls
+   ``repro.core.hbbmc.plan_roots``: graph reduction (GR), the exact ordering
+   peel (truss-based edge order for hybrid/edge frameworks, degeneracy order
+   for vertex frameworks), the root-branch list with balance costs, and the
+   cliques the initial branch finds by itself (GR's and the isolated
+   vertices). The plan is broadcast to every task.
+2. The root branches become rows of a DataFrame, salted round-robin in
+   descending order of balance cost so every partition gets a balanced mix
+   of heavy and light branches.
+3. ``groupBy(salt).applyInPandas`` calls ``repro.core.hbbmc.run_root`` on
+   each of the group's branches — the same executor the local runner loops
+   over — and emits one row per maximal clique (``kind='clique'``, payload
+   = comma-joined vertex ids) plus one counter row per group
+   (``kind='stats'``, payload = JSON) — strings, so results stay
+   orderable/joinable.
+4. The driver adds the plan's own cliques and counters, and returns a
+   clique DataFrame and the merged ``BranchStats``.
 
-The whole suite (HBBMC++ and every baseline of Tables II–VI) runs through
-this path; ``tests/test_dist_mce.py`` asserts the distributed clique set is
-identical to the local runner's.
+Every ``ALGORITHMS`` name runs through this path; ``tests/test_dist_mce.py``
+asserts that the distributed clique set and counters are identical to the
+local runner's.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from ..core.hbbmc import ALGORITHMS, _ebb
-from ..core.kernels import Enumerator, kernel_fn
-from ..core.localgraph import LocalGraph
-from ..core.ordering import degeneracy_order, edge_order_rank
-from ..core.reduction import reduce_graph
+from ..core.hbbmc import plan_roots, resolve_config, run_root
 from ..core.stats import BranchStats
 from ..graphs.edgelist import to_local
 
@@ -54,29 +48,6 @@ class DistMceResult:
     n_cliques: int
 
 
-def _vertex_branches(g: LocalGraph) -> tuple[list[tuple[int, int]], dict]:
-    """Root branches for the vertex framework: (vertex, cost) per degeneracy
-    position; shared config for the workers."""
-    dg = degeneracy_order(g)
-    pos = dg.pos
-    branches = []
-    for i, v in enumerate(dg.order):
-        later = sum(1 for u in g.adj[v] if pos[u] > i)
-        branches.append((v, later))
-    return branches, {"pos": pos}
-
-
-def _edge_branches(g: LocalGraph, edge_order: str) -> tuple[list[tuple[int, int]], dict]:
-    """Root branches for hybrid/edge frameworks: (edge rank, cost estimate =
-    min endpoint degree) plus the rank map for the workers."""
-    rank = edge_order_rank(g, edge_order)
-    adj = g.adj
-    branches = []
-    for (u, v), r in rank.items():
-        branches.append((r, min(len(adj[u]), len(adj[v]))))
-    return branches, {"rank": rank}
-
-
 def mce_distributed(
     spark: SparkSession,
     edges: DataFrame,
@@ -88,96 +59,21 @@ def mce_distributed(
     """Run a named algorithm (Tables II–VI labels) distributed by root
     branch. ``overrides`` tweak the configuration (``d``, ``et_t``, ``gr``,
     ``edge_order`` …) exactly like ``repro.core.hbbmc.run_named``."""
-    cfg = dict(ALGORITHMS[algorithm])
-    cfg.update(overrides)
-    framework = cfg.get("framework", "hybrid")
-    kernel = cfg.get("kernel", "tomita")
-    et_t = cfg.get("et_t", 0)
-    gr = cfg.get("gr", True)
-    d = cfg.get("d", 1)
-    edge_order = cfg.get("edge_order", "truss")
-    root = cfg.get("root", "degeneracy")
+    cfg = resolve_config(algorithm, overrides)  # a bad config fails before the collect
+    plan = plan_roots(to_local(edges), cfg)
+    bc = spark.sparkContext.broadcast(plan)
 
-    # --- driver side: GR + ordering -------------------------------------
-    g = to_local(edges)
-    red = reduce_graph(g, enabled=gr)
-    g2 = red.reduced
-    driver_cliques = [",".join(map(str, c)) for c in red.cliques]
-    stats = BranchStats(gr_cliques=len(red.cliques))
-
-    if framework in ("hybrid", "edge"):
-        branches, extra = _edge_branches(g2, edge_order)
-        # Isolated vertices of the reduced graph are the Eq.(3) root
-        # branches; the driver owns them (they are O(1) each).
-        for v in g2.vertices():
-            if not g2.adj[v]:
-                c = (v,)
-                if not (len(c) <= 2 and frozenset(c) in red.blocked):
-                    driver_cliques.append(str(v))
-                    stats.cliques += 1
-    else:
-        branches, extra = _vertex_branches(g2)
-    stats.root_branches = len(branches)
-
-    sc = spark.sparkContext
-    bc = sc.broadcast(
-        {
-            "adj": g2.adj,
-            "blocked": red.blocked,
-            "framework": framework,
-            "kernel": kernel,
-            "et_t": et_t,
-            "d": d,
-            **extra,
-        }
-    )
-
-    n_parts = num_partitions or min(64, max(1, len(branches)))
-    # Salt round-robin by descending cost estimate for balance.
-    ordered = sorted(branches, key=lambda bc_: (-bc_[1], bc_[0]))
+    n_parts = num_partitions or min(64, max(1, len(plan.branches)))
+    # Salt round-robin by descending balance cost.
+    ordered = sorted(plan.branches, key=lambda b: (-b[1], b[0]))
     rows = [(bid, i % n_parts) for i, (bid, _) in enumerate(ordered)]
     branch_df = spark.createDataFrame(rows, "branch_id long, salt int")
 
     def run_group(pdf: pd.DataFrame) -> pd.DataFrame:
-        conf = bc.value
-        adj = conf["adj"]
-        enum = Enumerator(
-            adj,
-            rank=conf.get("rank"),
-            et_t=conf["et_t"],
-            blocked=conf["blocked"],
-            collect=True,
-        )
-        kfn = kernel_fn(enum, conf["kernel"])
-        if conf["framework"] in ("hybrid", "edge"):
-            rank = conf["rank"]
-            by_rank = {r: e for e, r in rank.items()}
-            depth_limit = None if conf["framework"] == "edge" else conf["d"]
-            for r in sorted(pdf["branch_id"].tolist()):
-                u, v = by_rank[r]
-                ca, cb = adj[u], adj[v]
-                common = ca & cb
-                C = {
-                    w
-                    for w in common
-                    if rank[(u, w) if u < w else (w, u)] > r
-                    and rank[(v, w) if v < w else (w, v)] > r
-                }
-                X = common - C
-                if not C:
-                    if not X:
-                        enum.emit([u, v])
-                    continue
-                if any(C <= adj[x] for x in X):
-                    continue
-                _ebb(enum, [u, v], C, X, r, 1, depth_limit, kfn)
-        else:
-            pos = conf["pos"]
-            for v in sorted(pdf["branch_id"].tolist()):
-                i = pos[v]
-                C = {u for u in adj[v] if pos[u] > i}
-                X = {u for u in adj[v] if pos[u] < i}
-                kfn([v], C, X)
+        plan = bc.value
+        enum = plan.enumerator()
+        for bid in sorted(pdf["branch_id"].tolist()):
+            run_root(enum, plan, bid)
         out = pd.DataFrame(
             {
                 "kind": ["clique"] * len(enum.out),
@@ -199,18 +95,16 @@ def mce_distributed(
         .applyInPandas(run_group, schema=_RESULT_SCHEMA)
         .localCheckpoint(eager=True)
     )
-    for payload in result.where(F.col("kind") == "stats").select("payload").collect():
-        part = BranchStats.from_dict(json.loads(payload["payload"]))
-        part.gr_cliques = 0
-        part.root_branches = 0
-        stats.merge(part)
+    stats = plan.stats
+    for row in result.where(F.col("kind") == "stats").select("payload").collect():
+        stats.merge(BranchStats.from_dict(json.loads(row["payload"])))
 
     worker_cliques = result.where(F.col("kind") == "clique").select(
         F.col("payload").alias("clique"), "size"
     )
-    if driver_cliques:
+    if plan.cliques:
         driver_df = spark.createDataFrame(
-            [(c, c.count(",") + 1) for c in driver_cliques], "clique string, size long"
+            [(",".join(map(str, c)), len(c)) for c in plan.cliques], "clique string, size long"
         )
         cliques_df = worker_cliques.unionAll(driver_df)
     else:

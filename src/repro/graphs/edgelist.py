@@ -18,7 +18,7 @@ from ..core.localgraph import LocalGraph
 def edges_df(spark: SparkSession, edges: np.ndarray) -> DataFrame:
     """Create a canonical edge DataFrame from an (m, 2) numpy array."""
     pdf = pd.DataFrame({"src": edges[:, 0].astype("int64"), "dst": edges[:, 1].astype("int64")})
-    return canonicalize(spark.createDataFrame(pdf))
+    return canonicalize(spark.createDataFrame(pdf, "src long, dst long"))
 
 
 def canonicalize(df: DataFrame) -> DataFrame:

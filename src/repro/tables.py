@@ -117,7 +117,6 @@ def _runner(mode: str, spark) -> Callable[..., MceRun]:
             t0 = time.perf_counter()
             res = mce_distributed(spark, edges_df_, name, **ov)
             secs = time.perf_counter() - t0
-            res.stats.cliques = res.n_cliques - res.stats.gr_cliques
             return MceRun(cliques=None, stats=res.stats, seconds=secs)
         return run
     raise ValueError(f"unknown mode {mode!r}")

@@ -1,5 +1,5 @@
-"""Provided TPC-H-lite generators still work, the oracle catches wrong
-results, and the graph wrappers expose canonical Spark edge lists."""
+"""The oracle catches wrong results, and the graph wrappers expose canonical
+Spark edge lists."""
 import pytest
 from pyspark.sql import functions as F
 
@@ -7,55 +7,15 @@ from repro import synth_data
 from repro.oracle import assert_equivalent
 
 
-@pytest.fixture(scope="module")
-def li(spark):
-    return synth_data.lineitem(spark, sf=0.001).cache()
-
-
-def test_lineitem_oracle_roundtrip(spark, li):
-    got = li.groupBy("l_returnflag").agg(
-        F.sum("l_quantity").alias("sum_qty"), F.count("*").alias("cnt")
-    )
-    assert_equivalent(
-        got,
-        """
-        select l_returnflag, sum(l_quantity) as sum_qty, count(*) as cnt
-        from lineitem group by l_returnflag
-        """,
-        lineitem=li,
-    )
-
-
-def test_oracle_detects_wrong_result(spark, li):
-    wrong = li.groupBy("l_returnflag").agg(
-        (F.sum("l_quantity") + 1).alias("sum_qty")
-    )
+def test_oracle_detects_wrong_result(spark):
+    edges = synth_data.graph_edges(spark, "er", n=30, m=80, seed=0)
+    wrong = edges.groupBy("src").agg((F.count("*") + 1).alias("deg"))
     with pytest.raises(AssertionError):
         assert_equivalent(
             wrong,
-            "select l_returnflag, sum(l_quantity) as sum_qty from lineitem group by l_returnflag",
-            lineitem=li,
+            "select src, count(*) as deg from edges group by src",
+            edges=edges,
         )
-
-
-def test_orders_and_customer_join(spark):
-    o = synth_data.orders(spark, sf=0.001)
-    c = synth_data.customer(spark, sf=0.001)
-    got = (
-        o.join(c, o.o_custkey == c.c_custkey)
-        .groupBy("c_mktsegment")
-        .agg(F.count("*").alias("cnt"))
-    )
-    assert_equivalent(
-        got,
-        """
-        select c_mktsegment, count(*) as cnt
-        from orders join customer on o_custkey = c_custkey
-        group by c_mktsegment
-        """,
-        orders=o,
-        customer=c,
-    )
 
 
 def test_graph_edges_wrapper(spark):
