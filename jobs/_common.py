@@ -28,11 +28,7 @@ def get_spark(args):
         return None
     from pyspark.sql import SparkSession
 
-    return (
-        SparkSession.builder.appName("repro-mce")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    return SparkSession.builder.appName("repro-mce").getOrCreate()
 
 
 def emit(rows: list[dict], args) -> None:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 
 from .kernels import KERNELS, Enumerator, Pair, _pair, kernel_fn
 from .localgraph import LocalGraph
-from .ordering import degeneracy_order, edge_order_rank
+from .ordering import EDGE_ORDERS, degeneracy_order, edge_order_rank
 from .reduction import reduce_graph
 from .stats import BranchStats
 
@@ -69,8 +69,8 @@ class MceConfig:
     branching) or ``"global"`` (single root branch, BK_Pivot/BK_Ref-style).
     edge_order (hybrid/edge): ``"truss"``, ``"dgn"`` or ``"mdg"`` (Table VI).
     d (hybrid): edge-oriented levels before the kernel takes over (Table IV).
-    et_t: early-termination threshold t, 0 for none (Table V).
-    gr: apply graph reduction first.
+    et_t: early-termination threshold t (1, 2 or 3), 0 for none (Table V).
+    gr: apply graph reduction first (True or False).
     """
 
     framework: str = "hybrid"
@@ -104,8 +104,14 @@ def resolve_config(name: str | None, overrides: dict) -> MceConfig:
         raise ValueError(f"unknown root {cfg.root!r}")
     if cfg.kernel not in KERNELS:
         raise ValueError(f"unknown kernel {cfg.kernel!r}; one of {sorted(KERNELS)}")
+    if cfg.edge_order not in EDGE_ORDERS:
+        raise ValueError(f"unknown edge order {cfg.edge_order!r}; one of {list(EDGE_ORDERS)}")
     if cfg.framework == "hybrid" and (cfg.d is None or cfg.d < 1):
         raise ValueError("hybrid framework needs d >= 1")
+    if cfg.et_t not in (0, 1, 2, 3):
+        raise ValueError(f"et_t must be 0 (no ET), 1, 2 or 3, not {cfg.et_t!r}")
+    if not isinstance(cfg.gr, bool):
+        raise ValueError(f"gr must be True or False, not {cfg.gr!r}")
     return cfg
 
 

@@ -217,11 +217,10 @@ class Enumerator:
                     best_cnt, best_p = cnt, v
                     if cnt == top:
                         break  # cannot do better from C: a single sub-branch
-        if best_cnt < len(C):
-            for x in X:
-                cnt = len(C & adj[x])
-                if cnt > best_cnt or (cnt == best_cnt and x < best_p):
-                    best_cnt, best_p = cnt, x
+        for x in X:
+            cnt = len(C & adj[x])
+            if cnt > best_cnt or (cnt == best_cnt and x < best_p):
+                best_cnt, best_p = cnt, x
         self._branch_ext(S, C, X, sorted(C - adj[best_p]), self.vbb_ref)
 
     # -- kernel: rcd (min-degree removal) ----------------------------------

@@ -10,9 +10,8 @@ These are the *exact* greedy peels the paper's bounds rely on:
   The largest support seen at removal time is ``tau`` (< delta); in HBBMC the
   candidate graph of every root edge branch has at most ``tau`` vertices.
 
-Distributed DataFrame counterparts (core/truss *numbers*, not orders) live in
-``repro.analytics``; the kernels need the exact sequential orders, which are
-inherently driver-side.
+Only the exact orders carry these bounds, so both peels run sequentially: in
+process, or on the driver for a Spark run.
 """
 from __future__ import annotations
 
@@ -31,7 +30,6 @@ class DegeneracyResult:
     order: list[int]
     pos: dict[int, int]
     delta: int
-    core: dict[int, int]  # core number of every vertex
 
 
 def degeneracy_order(g: LocalGraph) -> DegeneracyResult:
@@ -44,24 +42,20 @@ def degeneracy_order(g: LocalGraph) -> DegeneracyResult:
     heapq.heapify(heap)
     removed: set[int] = set()
     order: list[int] = []
-    core: dict[int, int] = {}
     delta = 0
-    k = 0  # running max of removal degrees = core number level
     while heap:
         d, v = heapq.heappop(heap)
         if v in removed or d != deg[v]:
             continue  # stale entry
         removed.add(v)
         order.append(v)
-        k = max(k, d)
-        core[v] = k
         delta = max(delta, d)
         for u in g.adj[v]:
             if u not in removed:
                 deg[u] -= 1
                 heapq.heappush(heap, (deg[u], u))
     pos = {v: i for i, v in enumerate(order)}
-    return DegeneracyResult(order=order, pos=pos, delta=delta, core=core)
+    return DegeneracyResult(order=order, pos=pos, delta=delta)
 
 
 @dataclass(frozen=True)
@@ -71,7 +65,6 @@ class TrussResult:
     order: list[Pair]
     rank: dict[Pair, int]
     tau: int
-    truss: dict[Pair, int]  # truss number of every edge (support-at-peel + 2)
 
 
 def truss_order(g: LocalGraph) -> TrussResult:
@@ -79,9 +72,8 @@ def truss_order(g: LocalGraph) -> TrussResult:
 
     ``support(e)`` = number of common neighbors of e's endpoints in the graph
     induced by the not-yet-peeled edges. Ties break on the (u, v) pair so the
-    ordering is deterministic. ``truss[e]`` is the classic truss number
-    (max-support-so-far at removal + 2), matching the distributed
-    decomposition in ``repro.analytics.truss``.
+    ordering is deterministic. ``tau`` is the largest support seen at
+    removal time.
     """
     adj = {v: set(nbrs) for v, nbrs in g.adj.items()}
     # Integer-encode edges (u * span + v, u < v) so the hot peel loop hashes
@@ -99,8 +91,6 @@ def truss_order(g: LocalGraph) -> TrussResult:
         buckets[sup[e]][e] = None
     order_codes: list[int] = []
     tau = 0
-    kmax = 0
-    truss_codes: dict[int, int] = {}
     cur = 0
     m = len(sup)
     while len(order_codes) < m:
@@ -112,10 +102,8 @@ def truss_order(g: LocalGraph) -> TrussResult:
         del bucket[e]
         u, v = divmod(e, span)
         order_codes.append(e)
-        if cur > kmax:
-            kmax = cur
+        if cur > tau:
             tau = cur
-        truss_codes[e] = kmax + 2
         # Peel e: every remaining triangle (u, v, w) loses it, so the
         # supports of (u, w) and (v, w) each drop by one.
         au, av = adj[u], adj[v]
@@ -133,8 +121,11 @@ def truss_order(g: LocalGraph) -> TrussResult:
         av.discard(u)
     order = [divmod(e, span) for e in order_codes]
     rank = {e: i for i, e in enumerate(order)}
-    truss = {divmod(e, span): t for e, t in truss_codes.items()}
-    return TrussResult(order=order, rank=rank, tau=tau, truss=truss)
+    return TrussResult(order=order, rank=rank, tau=tau)
+
+
+#: Names of the paper's initial-branch edge orders (``edge_order_rank``).
+EDGE_ORDERS = ("truss", "dgn", "mdg")
 
 
 def edge_order_rank(g: LocalGraph, kind: str) -> dict[Pair, int]:
@@ -150,6 +141,8 @@ def edge_order_rank(g: LocalGraph, kind: str) -> dict[Pair, int]:
     one root edge — its rank-minimal edge); only the branch-size bound tau is
     specific to the truss order.
     """
+    if kind not in EDGE_ORDERS:
+        raise ValueError(f"unknown edge order {kind!r}; one of {list(EDGE_ORDERS)}")
     if kind == "truss":
         return truss_order(g).rank
     if kind == "dgn":
@@ -157,11 +150,9 @@ def edge_order_rank(g: LocalGraph, kind: str) -> dict[Pair, int]:
         keyed = sorted(
             g.edges(), key=lambda e: (min(pos[e[0]], pos[e[1]]), max(pos[e[0]], pos[e[1]]), e)
         )
-        return {e: i for i, e in enumerate(keyed)}
-    if kind == "mdg":
+    else:
         keyed = sorted(
             g.edges(),
             key=lambda e: (min(len(g.adj[e[0]]), len(g.adj[e[1]])), e),
         )
-        return {e: i for i, e in enumerate(keyed)}
-    raise ValueError(f"unknown edge order kind: {kind!r}")
+    return {e: i for i, e in enumerate(keyed)}

@@ -15,7 +15,7 @@ These back the quantities reported in the paper's tables:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 
 @dataclass
@@ -32,23 +32,12 @@ class BranchStats:
         return self.et_applied / self.et_plex if self.et_plex else 0.0
 
     def merge(self, other: "BranchStats") -> None:
-        self.calls += other.calls
-        self.et_plex += other.et_plex
-        self.et_applied += other.et_applied
-        self.cliques += other.cliques
-        self.root_branches += other.root_branches
-        self.gr_cliques += other.gr_cliques
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "calls": self.calls,
-            "et_plex": self.et_plex,
-            "et_applied": self.et_applied,
-            "cliques": self.cliques,
-            "root_branches": self.root_branches,
-            "gr_cliques": self.gr_cliques,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict[str, int]) -> "BranchStats":
-        return cls(**{k: int(v) for k, v in d.items()})
+        return cls(**{f.name: int(d[f.name]) for f in fields(cls)})

@@ -2,8 +2,8 @@
 
 The canonical distributed representation of a graph here is a DataFrame with
 two int columns ``src < dst``, one row per undirected edge, no duplicates,
-no self-loops. All analytics jobs (``repro.analytics``) and the distributed
-MCE driver (``repro.dist``) consume this form.
+no self-loops. The distributed MCE driver (``repro.dist``) consumes this
+form and collects it with ``to_local``.
 """
 from __future__ import annotations
 
@@ -29,25 +29,6 @@ def canonicalize(df: DataFrame) -> DataFrame:
         df.where(F.col("src") != F.col("dst"))
         .select(lo, hi)
         .distinct()
-    )
-
-
-def degrees(edges: DataFrame) -> DataFrame:
-    """Per-vertex degree: columns ``v``, ``degree``."""
-    verts = edges.select(F.col("src").alias("v")).unionAll(
-        edges.select(F.col("dst").alias("v"))
-    )
-    return verts.groupBy("v").agg(F.count("*").alias("degree"))
-
-
-def vertex_count(edges: DataFrame) -> int:
-    """Number of distinct endpoints (isolated vertices are not representable
-    in an edge list)."""
-    return (
-        edges.select(F.col("src").alias("v"))
-        .unionAll(edges.select(F.col("dst").alias("v")))
-        .distinct()
-        .count()
     )
 
 

@@ -58,14 +58,32 @@ def test_distributed_degenerate_inputs_match_local(spark, name):
         assert res.n_cliques == local.n_cliques, alg
 
 
-@pytest.mark.parametrize("path", ["local", "spark"])
-def test_unknown_config_key_rejected(spark, social_pair, path):
+#: Misconfigurations both paths reject before any work:
+#: (id, algorithm, overrides, error match).
+BAD_CONFIGS = [
+    ("", "HBBMC++", dict(bogus_key=1), "unknown config keys"),
+    ("et_t=4", "HBBMC++", dict(et_t=4), "et_t must be"),
+    ("et_t=-1", "HBBMC++", dict(et_t=-1), "et_t must be"),
+    ("edge_order", "RDegen", dict(edge_order="bogus"), "unknown edge order"),
+    ("gr", "HBBMC++", dict(gr="no"), "gr must be"),
+]
+
+
+@pytest.mark.parametrize(
+    "alg,overrides,match,path",
+    [
+        pytest.param(alg, overrides, match, path, id=f"{tag}-{path}" if tag else path)
+        for tag, alg, overrides, match in BAD_CONFIGS
+        for path in ("local", "spark")
+    ],
+)
+def test_unknown_config_key_rejected(spark, social_pair, alg, overrides, match, path):
     edf, g = social_pair
-    with pytest.raises(ValueError, match="unknown config keys"):
+    with pytest.raises(ValueError, match=match):
         if path == "local":
-            run_named(g, "HBBMC++", bogus_key=1)
+            run_named(g, alg, **overrides)
         else:
-            mce_distributed(spark, edf, "HBBMC++", bogus_key=1)
+            mce_distributed(spark, edf, alg, **overrides)
 
 
 def test_distributed_depth_two(spark, social_pair):

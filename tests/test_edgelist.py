@@ -1,10 +1,9 @@
-"""Spark edge-list utilities, checked against the DuckDB oracle."""
+"""Spark edge-list utilities."""
 import pandas as pd
 import pytest
 
-from repro.graphs.edgelist import canonicalize, degrees, edges_df, to_local, vertex_count
+from repro.graphs.edgelist import canonicalize, edges_df, to_local
 from repro.graphs.generators import er_edges
-from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
@@ -24,25 +23,6 @@ def test_canonicalize_dedups_and_orients(spark):
     )
     got = canonicalize(raw).toPandas().sort_values(["src", "dst"]).reset_index(drop=True)
     assert got.values.tolist() == [[1, 2], [3, 4]]
-
-
-def test_degrees_vs_oracle(spark, small_edges):
-    got = degrees(small_edges)
-    assert_equivalent(
-        got,
-        """
-        with verts as (
-            select src as v from edges union all select dst as v from edges
-        )
-        select v, count(*) as degree from verts group by v
-        """,
-        edges=small_edges,
-    )
-
-
-def test_vertex_count_matches_local(small_edges):
-    g = to_local(small_edges)
-    assert vertex_count(small_edges) == g.n
 
 
 def test_to_local_round_trip(spark):
