@@ -58,9 +58,11 @@ def cycle_mis(k: int) -> list[list[int]]:
     """All maximal independent sets of the cycle v_0 - ... - v_{k-1} - v_0,
     as sorted index lists (paper's Algorithm 7, Enum_from_Cycle).
 
-    k in {3, 4, 5} is hardcoded as in the paper; for k >= 6 the three cases
-    (v_0 in S / v_1 in S / neither, which forces v_2 and v_{k-1}) each reduce
-    to a path enumeration.
+    k in {3, 4} is hardcoded as in the paper; for k >= 5 the three cases
+    each reduce to a path enumeration: v_0 chosen (v_1 and v_{k-1} are
+    blocked; path v_2..v_{k-2}), v_1 chosen but not v_0 (path
+    v_3..v_{k-1}), or neither, which forces v_2 and v_{k-1} (path
+    v_4..v_{k-3}).
     """
     if k < 3:
         raise ValueError("a simple cycle has at least 3 vertices")
@@ -68,36 +70,11 @@ def cycle_mis(k: int) -> list[list[int]]:
         return [[0], [1], [2]]
     if k == 4:
         return [[0, 2], [1, 3]]
-    if k == 5:
-        return [[0, 2], [0, 3], [1, 3], [1, 4], [2, 4]]
-    out: list[list[int]] = []
-
-    def rec(prefix: list[int], path: Sequence[int], start_pos: int) -> None:
-        chosen_pos = [start_pos]
-
-        def inner() -> None:
-            i = chosen_pos[-1]
-            if i + 2 > len(path) - 1:
-                out.append(sorted(prefix + [path[j] for j in chosen_pos]))
-                return
-            chosen_pos.append(i + 2)
-            inner()
-            chosen_pos.pop()
-            if i + 3 <= len(path) - 1:
-                chosen_pos.append(i + 3)
-                inner()
-                chosen_pos.pop()
-
-        inner()
-
-    # Case 1: v_0 chosen -> v_1 and v_{k-1} excluded; walk path v_0..v_{k-2}.
-    rec([], list(range(0, k - 1)), 0)
-    # Case 2: v_1 chosen (v_0 not) -> walk path v_1..v_{k-1}.
-    rec([], list(range(1, k)), 0)
-    # Case 3: neither v_0 nor v_1 -> maximality forces v_2 and v_{k-1};
-    # walk path v_2..v_{k-3} starting at v_2, with v_{k-1} pre-chosen.
-    rec([k - 1], list(range(2, k - 2)), 0)
-    return out
+    return (
+        [[0] + [i + 2 for i in mis] for mis in path_mis(k - 3)]
+        + [[1] + [i + 3 for i in mis] for mis in path_mis(k - 3)]
+        + [[2] + [i + 4 for i in mis] + [k - 1] for mis in path_mis(k - 6)]
+    )
 
 
 def inverse_components(
@@ -174,32 +151,4 @@ def enumerate_tplex(
         clique = list(F)
         for part in combo:
             clique.extend(part)
-        yield sorted(clique)
-
-
-def enumerate_two_plex(
-    vertices: Sequence[int], nonadj: dict[int, list[int]]
-) -> Iterator[list[int]]:
-    """Paper's Algorithm 5, kept separate for fidelity: in a 2-plex the
-    inverse graph is a perfect matching over L ∪ R plus isolated F, and the
-    2^{|L|} maximal cliques are F plus one endpoint per matched pair.
-
-    (``enumerate_tplex`` subsumes this — pairs are paths of length 2 — and
-    tests assert both produce identical output.)
-    """
-    F = [v for v in vertices if not nonadj[v]]
-    pairs: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for v in sorted(vertices):
-        if v in seen or not nonadj[v]:
-            continue
-        if len(nonadj[v]) != 1:
-            raise ValueError("not a 2-plex")
-        u = nonadj[v][0]
-        seen.update((v, u))
-        pairs.append((v, u))
-    for num in range(2 ** len(pairs)):
-        clique = list(F)
-        for i, (l, r) in enumerate(pairs):
-            clique.append(l if (num >> i) & 1 == 0 else r)
         yield sorted(clique)

@@ -62,9 +62,10 @@ class MceConfig:
     """One run configuration; ``ALGORITHMS`` names the ones in the tables.
 
     framework: ``"hybrid"`` (edge-oriented root, Table II's HBBMC), ``"edge"``
-    (pure EBBMC, edge-oriented branching all the way down; ``d`` is ignored),
-    or ``"vertex"`` (VBBMC).
-    kernel: the vertex-oriented kernel (``repro.core.kernels.KERNELS``).
+    (pure EBBMC, edge-oriented branching all the way down), or ``"vertex"``
+    (VBBMC). Setting a key the framework does not read is an error.
+    kernel (hybrid/vertex): the vertex-oriented kernel
+    (``repro.core.kernels.KERNELS``).
     root (vertex framework): ``"degeneracy"`` (BK_Degen-style initial
     branching) or ``"global"`` (single root branch, BK_Pivot/BK_Ref-style).
     edge_order (hybrid/edge): ``"truss"``, ``"dgn"`` or ``"mdg"`` (Table VI).
@@ -82,11 +83,20 @@ class MceConfig:
     gr: bool = True
 
 
+#: Config keys each framework never reads.
+_UNREAD_KEYS: dict[str, tuple[str, ...]] = {
+    "hybrid": ("root",),
+    "edge": ("root", "d", "kernel"),
+    "vertex": ("d", "edge_order"),
+}
+
+
 def resolve_config(name: str | None, overrides: dict) -> MceConfig:
     """The configuration of algorithm ``name`` (an ``ALGORITHMS`` key, or
     None for the ``MceConfig`` defaults) with ``overrides`` applied. An
-    unknown name, key or value raises ``ValueError``, so a misconfigured run
-    fails instead of running something else."""
+    unknown name, key or value, or a key the framework does not read, raises
+    ``ValueError``, so a misconfigured run fails instead of running
+    something else."""
     if name is None:
         base = {}
     elif name in ALGORITHMS:
@@ -97,7 +107,8 @@ def resolve_config(name: str | None, overrides: dict) -> MceConfig:
     unknown = sorted(set(overrides) - keys)
     if unknown:
         raise ValueError(f"unknown config keys {unknown}; one of {sorted(keys)}")
-    cfg = MceConfig(**{**base, **overrides})
+    merged = {**base, **overrides}
+    cfg = MceConfig(**merged)
     if cfg.framework not in ("hybrid", "edge", "vertex"):
         raise ValueError(f"unknown framework {cfg.framework!r}")
     if cfg.root not in ("degeneracy", "global"):
@@ -112,6 +123,9 @@ def resolve_config(name: str | None, overrides: dict) -> MceConfig:
         raise ValueError(f"et_t must be 0 (no ET), 1, 2 or 3, not {cfg.et_t!r}")
     if not isinstance(cfg.gr, bool):
         raise ValueError(f"gr must be True or False, not {cfg.gr!r}")
+    unread = [k for k in _UNREAD_KEYS[cfg.framework] if k in merged]
+    if unread:
+        raise ValueError(f"the {cfg.framework} framework does not read config keys {unread}")
     return cfg
 
 

@@ -1,5 +1,5 @@
-"""Vertex-oriented branch-and-bound kernels (VBBMC variants) and the shared
-early-termination hook.
+"""Vertex-oriented branch-and-bound kernels (VBBMC variants) and the
+branch steps they share.
 
 Every kernel enumerates the maximal cliques of a branch ``(S, C, X)``:
 
@@ -13,11 +13,18 @@ Kernels:
 - ``tomita``: classic max-|N(p) ∩ C| pivot over C ∪ X (BK_Pivot [8] /
   BK_Degen [9] inner loop) — the kernel of RDegen and HBBMC++.
 - ``ref``: Naudé-style refined pivoting [12] — pivot-scan early exit once a
-  best-possible pivot is found (simplified; see DESIGN.md §4).
+  best-possible pivot is found (simplified; see DESIGN.md §4). It picks the
+  same pivot as ``tomita``, so with ET on it *is* ``tomita``.
 - ``rcd``: BK_Rcd [11] — repeatedly branch on the minimum-degree candidate
   until the remaining candidate graph is a clique, then emit it wholesale.
 - ``fac``: BK_Fac [18] — arbitrary initial pivot, re-pivot only when the new
   branching vertex yields a smaller extension set.
+
+The kernels differ only in how they choose branching vertices. Each branch
+step they share exists once: ``_enter`` (call count, empty-C leaf, |C| = 1
+fast path), ``_early_term`` (the t-plex ET step), ``_branch_on`` (branch on
+w, then move w from C to X) and ``_pivot_branch`` (X-side pivot scan and the
+branch loop over C \\ N(p)).
 
 Dual adjacency (DESIGN.md §3): inside an edge-oriented branch created at
 truss rank ``r`` (``self.cur_r``), two candidates may only be *jointly
@@ -48,6 +55,7 @@ from .stats import BranchStats
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
 Pair = tuple[int, int]
+Kernel = Callable[[list[int], set[int], set[int]], None]
 
 
 def _pair(u: int, v: int) -> Pair:
@@ -92,18 +100,30 @@ class Enumerator:
             self.out.append(c)
 
     # -- helpers -----------------------------------------------------------
-    def _single_candidate(self, S: list[int], C: set[int], X: set[int]) -> None:
-        """|C| == 1 fast path shared by all kernels: the only candidate
+    def _enter(self, S: list[int], C: set[int], X: set[int]) -> bool:
+        """Count the call and settle the branches every kernel handles the
+        same way; True when the branch is done.
+
+        Empty C: S is maximal iff X is empty. |C| == 1: the only candidate
         clique is S ∪ {v}, maximal iff no exclusion vertex is adjacent to v
-        (every x in X is already adjacent to all of S). S alone can never be
-        maximal here (v extends it). Counter-wise this is a 1-plex branch."""
-        if self.et_t > 0:
-            self.stats.et_plex += 1
+        (every x in X is already adjacent to all of S); S alone can never be
+        maximal (v extends it). Counter-wise this is a 1-plex branch."""
+        st = self.stats
+        st.calls += 1
+        if not C:
             if not X:
-                self.stats.et_applied += 1
+                self.emit(S)
+            return True
+        if len(C) > 1:
+            return False
+        if self.et_t > 0:
+            st.et_plex += 1
+            if not X:
+                st.et_applied += 1
         (v,) = C
         if not (X & self.adj[v]):
             self.emit(S + [v])
+        return True
 
     def _ghost_free(self, C: set[int], nbr_in_c: dict[int, set[int]]) -> bool:
         """True iff no pair inside C is ranked at or before ``cur_r`` — then
@@ -131,29 +151,60 @@ class Enumerator:
         return Cw, Xn | (gz - Cw)
 
     # -- early termination -------------------------------------------------
-    def _et_emit(self, S: list[int], C: set[int], nbr_in_c: dict[int, set[int]]) -> None:
-        """Early termination (Section IV): the candidate graph is a t-plex
-        (verified ghost-free) and the exclusion graph is empty — enumerate
-        the branch's maximal cliques directly from the inverse graph.
-        Callers count the et_plex/et_applied statistics."""
+    def _early_term(
+        self, S: list[int], C: set[int], X: set[int], nbr_in_c: dict[int, set[int]] | None = None
+    ) -> bool:
+        """Early termination (Section IV) of a branch whose candidate graph
+        passed the caller's G-degree t-plex test (counted towards Table V's
+        b). ET applies only when the exclusion graph is empty and C is
+        ghost-free; it then enumerates the branch's maximal cliques directly
+        from the inverse graph and returns True. ``nbr_in_c`` (v -> C ∩ N(v))
+        is built here unless the caller has it, so ET adds no per-call cost
+        on ordinary branches."""
+        st = self.stats
+        st.et_plex += 1
+        if X:
+            return False
+        if nbr_in_c is None:
+            nbr_in_c = {v: C & self.adj[v] for v in C}
+        if not self._ghost_free(C, nbr_in_c):
+            return False
+        st.et_applied += 1
         nonadj = {v: sorted(C - nbr_in_c[v] - {v}) for v in C}
-        base = list(S)
         for part in enumerate_tplex(sorted(C), nonadj):
-            self.emit(base + part)
+            self.emit(S + part)
+        return True
+
+    # -- branching ---------------------------------------------------------
+    def _branch_on(self, S: list[int], Cc: set[int], Xc: set[int], w: int, rec: Kernel) -> None:
+        """Branch on ``w``, then move it from ``Cc`` to ``Xc`` (the BK
+        'exclude after branching' step; both sets are updated in place)."""
+        adj = self.adj
+        Cw, Xw = self._split_child(w, Cc & adj[w], Xc & adj[w])
+        rec(S + [w], Cw, Xw)
+        Cc.discard(w)
+        Xc.add(w)
+
+    def _pivot_branch(
+        self, S: list[int], C: set[int], X: set[int], best_p: int, best_cnt: int, rec: Kernel
+    ) -> None:
+        """Finish the pivot choice over X (``best_p``/``best_cnt``: the best
+        pivot from C; ties go to the smaller vertex id), then branch on each
+        vertex of C \\ N(p) in increasing order."""
+        adj = self.adj
+        for x in X:
+            cnt = len(C & adj[x])
+            if cnt > best_cnt or (cnt == best_cnt and x < best_p):
+                best_cnt, best_p = cnt, x
+        Cc, Xc = set(C), set(X)
+        for w in sorted(C - adj[best_p]):
+            self._branch_on(S, Cc, Xc, w, rec)
 
     # -- kernel: tomita (classic pivot) ------------------------------------
     def vbb_tomita(self, S: list[int], C: set[int], X: set[int]) -> None:
-        st = self.stats
-        st.calls += 1
-        if not C:
-            if not X:
-                self.emit(S)
-            return
-        if len(C) == 1:
-            self._single_candidate(S, C, X)
+        if self._enter(S, C, X):
             return
         adj = self.adj
-        want_et = self.et_t > 0
         best_p, best_cnt = -1, -1
         min_deg = len(C)
         for v in C:
@@ -162,77 +213,32 @@ class Enumerator:
                 best_cnt, best_p = cnt, v
             if cnt < min_deg:
                 min_deg = cnt
-        if want_et and min_deg >= len(C) - self.et_t:
-            # t-plex branch (counted towards Table V's b); apply ET only when
-            # the exclusion graph is empty and C is ghost-free (second pass —
-            # the sets are materialized only here, so ET adds no per-call
-            # cost on ordinary branches).
-            st.et_plex += 1
-            if not X:
-                nbr_in_c = {v: C & adj[v] for v in C}
-                if self._ghost_free(C, nbr_in_c):
-                    st.et_applied += 1
-                    self._et_emit(S, C, nbr_in_c)
-                    return
-        for x in X:
-            cnt = len(C & adj[x])
-            if cnt > best_cnt or (cnt == best_cnt and x < best_p):
-                best_cnt, best_p = cnt, x
-        self._branch_ext(S, C, X, sorted(C - adj[best_p]), self.vbb_tomita)
+        if self.et_t > 0 and min_deg >= len(C) - self.et_t and self._early_term(S, C, X):
+            return
+        self._pivot_branch(S, C, X, best_p, best_cnt, self.vbb_tomita)
 
     # -- kernel: ref (Naudé-style) -----------------------------------------
     def vbb_ref(self, S: list[int], C: set[int], X: set[int]) -> None:
-        st = self.stats
-        st.calls += 1
-        if not C:
-            if not X:
-                self.emit(S)
-            return
-        if len(C) == 1:
-            self._single_candidate(S, C, X)
+        """The ET-off kernel of ``ref`` (``kernel_fn`` runs ``vbb_tomita``
+        for it when ``et_t > 0``): the C-side pivot scan stops at the first
+        vertex adjacent to every other candidate. It picks the same pivot as
+        ``vbb_tomita``: the smallest vertex with the most C-neighbours."""
+        if self._enter(S, C, X):
             return
         adj = self.adj
         best_p, best_cnt = -1, -1
-        if self.et_t > 0:
-            min_deg = len(C)
-            for v in C:
-                cnt = len(C & adj[v])
-                if cnt > best_cnt or (cnt == best_cnt and v < best_p):
-                    best_cnt, best_p = cnt, v
-                if cnt < min_deg:
-                    min_deg = cnt
-            if min_deg >= len(C) - self.et_t:
-                st.et_plex += 1
-                if not X:
-                    nbr_in_c = {v: C & adj[v] for v in C}
-                    if self._ghost_free(C, nbr_in_c):
-                        st.et_applied += 1
-                        self._et_emit(S, C, nbr_in_c)
-                        return
-        else:
-            top = len(C) - 1
-            for v in sorted(C):
-                cnt = len(C & adj[v])
-                if cnt > best_cnt:
-                    best_cnt, best_p = cnt, v
-                    if cnt == top:
-                        break  # cannot do better from C: a single sub-branch
-        for x in X:
-            cnt = len(C & adj[x])
-            if cnt > best_cnt or (cnt == best_cnt and x < best_p):
-                best_cnt, best_p = cnt, x
-        self._branch_ext(S, C, X, sorted(C - adj[best_p]), self.vbb_ref)
+        top = len(C) - 1
+        for v in sorted(C):
+            cnt = len(C & adj[v])
+            if cnt > best_cnt:
+                best_cnt, best_p = cnt, v
+                if cnt == top:
+                    break  # cannot do better from C: a single sub-branch
+        self._pivot_branch(S, C, X, best_p, best_cnt, self.vbb_ref)
 
     # -- kernel: rcd (min-degree removal) ----------------------------------
     def vbb_rcd(self, S: list[int], C: set[int], X: set[int]) -> None:
-        st = self.stats
-        st.calls += 1
-        if not C:
-            if not X:
-                self.emit(S)
-            return
-        if len(C) == 1:
-            self._single_candidate(S, C, X)
+        if self._enter(S, C, X):
             return
         adj = self.adj
         Cc, Xc = set(C), set(X)
@@ -245,92 +251,37 @@ class Enumerator:
                 nbr_in_c[v] = gz
                 if len(gz) < min_deg or (len(gz) == min_deg and v < min_v):
                     min_deg, min_v = len(gz), v
-            ghost_free: bool | None = None
             if self.et_t > 0 and min_deg >= nc - self.et_t:
-                st.et_plex += 1
-                if not Xc:
-                    ghost_free = self._ghost_free(Cc, nbr_in_c)
-                    if ghost_free:
-                        st.et_applied += 1
-                        self._et_emit(S, Cc, nbr_in_c)
-                        return
-            if min_deg == nc - 1:
-                # Cc is a G-clique. It is this branch's single candidate
-                # maximal clique, but only if it is ghost-free (otherwise a
-                # pair belongs to an earlier root branch and we must keep
-                # branching to split it apart).
-                if ghost_free is None:
-                    ghost_free = self._ghost_free(Cc, nbr_in_c)
-                if ghost_free:
-                    if not any(Cc <= adj[x] for x in Xc):
-                        self.emit(list(S) + list(Cc))
+                if self._early_term(S, Cc, Xc, nbr_in_c):
                     return
-            v = min_v
-            Cv, Xv = self._split_child(v, nbr_in_c[v], Xc & adj[v])
-            self.vbb_rcd(S + [v], Cv, Xv)
-            Cc.discard(v)
-            Xc.add(v)
+            if min_deg == nc - 1 and self._ghost_free(Cc, nbr_in_c):
+                # Cc is a ghost-free G-clique: this branch's single candidate
+                # maximal clique (with a ghost pair, that pair belongs to an
+                # earlier root branch and we must keep branching to split it).
+                if not any(Cc <= adj[x] for x in Xc):
+                    self.emit(S + list(Cc))
+                return
+            self._branch_on(S, Cc, Xc, min_v, self.vbb_rcd)
         # All candidates branched away: S itself is blocked by Xc (which now
         # contains at least the last v), so nothing to emit.
 
     # -- kernel: fac (adaptive cheap pivot) --------------------------------
     def vbb_fac(self, S: list[int], C: set[int], X: set[int]) -> None:
-        st = self.stats
-        st.calls += 1
-        if not C:
-            if not X:
-                self.emit(S)
-            return
-        if len(C) == 1:
-            self._single_candidate(S, C, X)
+        if self._enter(S, C, X):
             return
         adj = self.adj
-        if self.et_t > 0:
-            min_deg = len(C)
-            for v in C:
-                cnt = len(C & adj[v])
-                if cnt < min_deg:
-                    min_deg = cnt
-            if min_deg >= len(C) - self.et_t:
-                st.et_plex += 1
-                if not X:
-                    nbr_in_c = {v: C & adj[v] for v in C}
-                    if self._ghost_free(C, nbr_in_c):
-                        st.et_applied += 1
-                        self._et_emit(S, C, nbr_in_c)
-                        return
+        if self.et_t > 0 and min(len(C & adj[v]) for v in C) >= len(C) - self.et_t:
+            if self._early_term(S, C, X):
+                return
         Cc, Xc = set(C), set(X)
-        v0 = min(Cc)
-        P = Cc - adj[v0]
+        P = Cc - adj[min(Cc)]
         while P:
             u = min(P)
-            Cu, Xu = self._split_child(u, Cc & adj[u], Xc & adj[u])
-            self.vbb_fac(S + [u], Cu, Xu)
-            Cc.discard(u)
-            Xc.add(u)
+            self._branch_on(S, Cc, Xc, u, self.vbb_fac)
             P.discard(u)
             P2 = Cc - adj[u]
             if len(P2) < len(P):
                 P = P2
-
-    # -- shared branching loop ---------------------------------------------
-    def _branch_ext(
-        self,
-        S: list[int],
-        C: set[int],
-        X: set[int],
-        ext: list[int],
-        rec: Callable[[list[int], set[int], set[int]], None],
-    ) -> None:
-        """Branch on each vertex of ``ext`` in order, moving processed
-        vertices from C to X (the BK 'exclude after branching' step)."""
-        adj = self.adj
-        Cc, Xc = set(C), set(X)
-        for w in ext:
-            Cw, Xw = self._split_child(w, Cc & adj[w], Xc & adj[w])
-            rec(S + [w], Cw, Xw)
-            Cc.discard(w)
-            Xc.add(w)
 
 
 KERNELS: dict[str, str] = {
@@ -342,7 +293,11 @@ KERNELS: dict[str, str] = {
 
 
 def kernel_fn(enum: Enumerator, name: str):
-    """Resolve a kernel name to the bound method of ``enum``."""
+    """Resolve a kernel name to the bound method of ``enum``. With ET on,
+    ``ref`` runs ``vbb_tomita``: the two pick the same pivot, and only
+    ``ref``'s ET-off scan differs."""
+    if name == "ref" and enum.et_t > 0:
+        name = "tomita"
     try:
         return getattr(enum, KERNELS[name])
     except KeyError:

@@ -66,6 +66,11 @@ BAD_CONFIGS = [
     ("et_t=-1", "HBBMC++", dict(et_t=-1), "et_t must be"),
     ("edge_order", "RDegen", dict(edge_order="bogus"), "unknown edge order"),
     ("gr", "HBBMC++", dict(gr="no"), "gr must be"),
+    ("vertex-d", "RDegen", dict(d=3), r"vertex framework does not read config keys \['d'\]"),
+    ("vertex-edge_order", "RDegen", dict(edge_order="mdg"), r"vertex .*\['edge_order'\]"),
+    ("hybrid-root", "HBBMC++", dict(root="global"), r"hybrid .*\['root'\]"),
+    ("edge-d-kernel", "HBBMC++", dict(framework="edge", kernel="rcd", d=4), r"\['d', 'kernel'\]"),
+    ("edge-root", "RDegen", dict(framework="edge"), r"edge .*\['root', 'kernel'\]"),
 ]
 
 

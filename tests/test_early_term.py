@@ -1,4 +1,4 @@
-"""Tests for the early-termination combinatorics (Algorithms 5–8)."""
+"""Tests for the early-termination combinatorics (Algorithms 6–8)."""
 from itertools import combinations
 
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.core.early_term import (
     cycle_mis,
     enumerate_tplex,
-    enumerate_two_plex,
     inverse_components,
     path_mis,
 )
@@ -117,26 +116,6 @@ def test_tplex_random_inverse_graphs(seed):
             deg[a] += 1
             deg[b] += 1
     _assert_tplex_equals_brute(verts, nonadj)
-
-
-@pytest.mark.parametrize("n_pairs", [0, 1, 2, 3, 4])
-def test_two_plex_algorithm5_equals_generic(n_pairs):
-    """Paper's Algorithm 5 (bitmask over matched pairs) agrees with the
-    generic Algorithm 8 machinery."""
-    verts = list(range(2 * n_pairs + 3))
-    nonadj = {v: [] for v in verts}
-    for i in range(n_pairs):
-        a, b = 2 * i, 2 * i + 1
-        nonadj[a], nonadj[b] = [b], [a]
-    a5 = sorted(tuple(c) for c in enumerate_two_plex(verts, nonadj))
-    a8 = sorted(tuple(c) for c in enumerate_tplex(verts, nonadj))
-    assert a5 == a8
-    assert len(a5) == 2 ** n_pairs
-
-
-def test_two_plex_rejects_non_two_plex():
-    with pytest.raises(ValueError):
-        list(enumerate_two_plex([0, 1, 2], {0: [1, 2], 1: [0], 2: [0]}))
 
 
 def test_tplex_output_count_is_product_of_components():

@@ -37,6 +37,23 @@ def test_kernel_vertex_framework_matches_reference(kernel, gname, make, seed):
             assert r.cliques == ref, f"{kernel}/{root}/t={et_t}"
 
 
+def test_ref_and_tomita_run_the_same_search():
+    """``ref``'s early-exit scan picks ``tomita``'s pivot, so both kernels
+    give the same counters and cliques, with and without ET."""
+    for gname, make in GRAPHS:
+        for seed in range(3):
+            g = make(seed)
+            for root in ("degeneracy", "global"):
+                for et_t in (0, 3):
+                    runs = [
+                        run_mce(g, framework="vertex", kernel=k, root=root, et_t=et_t, gr=False)
+                        for k in ("ref", "tomita")
+                    ]
+                    where = f"{gname}/{seed}/{root}/t={et_t}"
+                    assert runs[0].stats.as_dict() == runs[1].stats.as_dict(), where
+                    assert runs[0].cliques == runs[1].cliques, where
+
+
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_kernel_direct_invocation_on_triangle(kernel):
     g = LocalGraph.from_edges([(0, 1), (1, 2), (0, 2)])
