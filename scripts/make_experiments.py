@@ -236,8 +236,8 @@ def main() -> None:
             " clique sets to the local runners for every framework family and any"
             f" partitioning). On the heavyweight {dist['dataset']} surrogate"
             f" ({dist['n_cliques']:,} cliques), {dist['algorithm']} takes"
-            f" **{dist['serial_s']} s on 1 partition vs {dist['parallel_s']} s on"
-            f" {dist['parallelism']} cores** ({speedup:.1f}× scale-out;"
+            f" **{dist['serial_s']} s in 1 task vs {dist['parallel_s']} s in one task"
+            f" per core on {dist['parallelism']} cores** ({speedup:.1f}× scale-out;"
             " `benchmarks/bench_dist.py`). The non-parallel remainder is the"
             " driver-side GR + exact truss-ordering peel and the collection of the"
             " clique DataFrame — the same O(δm) preprocessing term the paper's"

@@ -8,16 +8,21 @@ Xu et al. [17]):
    peel (truss-based edge order for hybrid/edge frameworks, degeneracy order
    for vertex frameworks), the root-branch list with balance costs, and the
    cliques the initial branch finds by itself (GR's and the isolated
-   vertices). The plan is broadcast to every task.
-2. The root branches become rows of a DataFrame, salted round-robin in
-   descending order of balance cost so every partition gets a balanced mix
-   of heavy and light branches.
-3. ``groupBy(salt).applyInPandas`` calls ``repro.core.hbbmc.run_root`` on
-   each of the group's branches — the same executor the local runner loops
-   over — and emits one row per maximal clique (``kind='clique'``, payload
-   = comma-joined vertex ids) plus one counter row per group
-   (``kind='stats'``, payload = JSON) — strings, so results stay
-   orderable/joinable.
+   vertices).
+2. The driver deals the root branches round-robin, in descending order of
+   balance cost, into one group per task, so every task gets a balanced mix
+   of heavy and light branches. There is one task per slot of the session
+   (``defaultParallelism``) unless ``num_partitions`` says otherwise, and
+   never more tasks than branches. The plan and the groups are broadcast
+   once.
+3. ``spark.range(n_tasks, numPartitions=n_tasks).mapInPandas`` runs task
+   ``t`` over group ``t``: it calls ``repro.core.hbbmc.run_root`` on each of
+   the group's branches — the same executor the local runner loops over —
+   and emits one row per maximal clique (``kind='clique'``, payload =
+   comma-joined vertex ids) plus one counter row (``kind='stats'``, payload
+   = JSON) — strings, so results stay orderable/joinable. No shuffle
+   precedes this stage, so adaptive query execution cannot coalesce the
+   tasks into fewer partitions.
 4. The driver adds the plan's own cliques and counters, and returns a
    clique DataFrame and the merged ``BranchStats``.
 
@@ -28,6 +33,7 @@ local runner's.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import pandas as pd
@@ -58,41 +64,42 @@ def mce_distributed(
 ) -> DistMceResult:
     """Run a named algorithm (Tables II–VI labels) distributed by root
     branch. ``overrides`` tweak the configuration (``d``, ``et_t``, ``gr``,
-    ``edge_order`` …) exactly like ``repro.core.hbbmc.run_named``."""
+    ``edge_order`` …) exactly like ``repro.core.hbbmc.run_named``.
+    ``num_partitions`` is the number of kernel tasks (default: the session's
+    task slots), never more than the number of root branches."""
+    if num_partitions is not None and (
+        isinstance(num_partitions, bool) or not isinstance(num_partitions, int) or num_partitions < 1
+    ):
+        raise ValueError(f"num_partitions must be None or an int >= 1, got {num_partitions!r}")
     cfg = resolve_config(algorithm, overrides)  # a bad config fails before the collect
     plan = plan_roots(to_local(edges), cfg)
-    bc = spark.sparkContext.broadcast(plan)
 
-    n_parts = num_partitions or min(64, max(1, len(plan.branches)))
-    # Salt round-robin by descending balance cost.
+    n_tasks = num_partitions or spark.sparkContext.defaultParallelism
+    n_tasks = max(1, min(n_tasks, len(plan.branches)))
+    # Deal round-robin by descending balance cost.
     ordered = sorted(plan.branches, key=lambda b: (-b[1], b[0]))
-    rows = [(bid, i % n_parts) for i, (bid, _) in enumerate(ordered)]
-    branch_df = spark.createDataFrame(rows, "branch_id long, salt int")
+    groups = [sorted(bid for bid, _ in ordered[t::n_tasks]) for t in range(n_tasks)]
+    bc = spark.sparkContext.broadcast((plan, groups))
 
-    def run_group(pdf: pd.DataFrame) -> pd.DataFrame:
-        plan = bc.value
-        enum = plan.enumerator()
-        for bid in sorted(pdf["branch_id"].tolist()):
-            run_root(enum, plan, bid)
-        out = pd.DataFrame(
-            {
-                "kind": ["clique"] * len(enum.out),
-                "payload": [",".join(map(str, c)) for c in enum.out],
-                "size": [len(c) for c in enum.out],
-            }
-        )
-        srow = pd.DataFrame(
-            {
-                "kind": ["stats"],
-                "payload": [json.dumps(enum.stats.as_dict())],
-                "size": [0],
-            }
-        )
-        return pd.concat([out, srow], ignore_index=True)
+    def run_tasks(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        plan, groups = bc.value
+        for batch in batches:
+            for t in batch["id"].tolist():
+                enum = plan.enumerator()
+                for bid in groups[t]:
+                    run_root(enum, plan, bid)
+                yield pd.DataFrame(
+                    {
+                        "kind": ["clique"] * len(enum.out) + ["stats"],
+                        "payload": [",".join(map(str, c)) for c in enum.out]
+                        + [json.dumps(enum.stats.as_dict())],
+                        "size": [len(c) for c in enum.out] + [0],
+                    }
+                )
 
     result = (
-        branch_df.groupBy("salt")
-        .applyInPandas(run_group, schema=_RESULT_SCHEMA)
+        spark.range(n_tasks, numPartitions=n_tasks)
+        .mapInPandas(run_tasks, schema=_RESULT_SCHEMA)
         .localCheckpoint(eager=True)
     )
     stats = plan.stats
@@ -109,5 +116,5 @@ def mce_distributed(
         cliques_df = worker_cliques.unionAll(driver_df)
     else:
         cliques_df = worker_cliques
-    n = cliques_df.count()
+    n = stats.cliques + stats.gr_cliques
     return DistMceResult(cliques_df=cliques_df, stats=stats, n_cliques=n)

@@ -31,6 +31,7 @@ def test_distributed_matches_local(spark, social_pair, alg):
     local = run_named(g, alg)
     assert _dist_cliques(res) == local.cliques
     assert res.stats.as_dict() == local.stats.as_dict()
+    assert res.n_cliques == res.cliques_df.count()
 
 
 #: Degenerate inputs as edge arrays. GR consumes every one of them but the
@@ -56,6 +57,7 @@ def test_distributed_degenerate_inputs_match_local(spark, name):
         assert _dist_cliques(res) == local.cliques, alg
         assert res.stats.as_dict() == local.stats.as_dict(), alg
         assert res.n_cliques == local.n_cliques, alg
+        assert res.n_cliques == res.cliques_df.count(), alg
 
 
 #: Misconfigurations both paths reject before any work:
@@ -112,10 +114,21 @@ def test_distributed_dataset_surrogate(spark):
     assert _dist_cliques(res) == reference_mce(g)
 
 
+@pytest.mark.parametrize("num_partitions", [0, -2, 2.5, True])
+def test_bad_task_count_rejected(spark, social_pair, num_partitions):
+    edf, _ = social_pair
+    with pytest.raises(ValueError, match="num_partitions"):
+        mce_distributed(spark, edf, "HBBMC++", num_partitions=num_partitions)
+
+
 def test_distributed_partition_count_invariance(spark):
+    """Any task count, including the session default and one above the
+    number of root branches, gives the same cliques and counters."""
     e = er_edges(40, 160, seed=9)
     edf = edges_df(spark, e)
-    a = mce_distributed(spark, edf, "HBBMC++", num_partitions=2)
-    b = mce_distributed(spark, edf, "HBBMC++", num_partitions=16)
-    assert _dist_cliques(a) == _dist_cliques(b)
-    assert a.stats.calls == b.stats.calls
+    ref = mce_distributed(spark, edf, "HBBMC++", num_partitions=1)
+    assert ref.stats.root_branches < 10_000
+    for n in (2, 16, None, 10_000):
+        res = mce_distributed(spark, edf, "HBBMC++", num_partitions=n)
+        assert _dist_cliques(res) == _dist_cliques(ref), n
+        assert res.stats.as_dict() == ref.stats.as_dict(), n
