@@ -1,22 +1,24 @@
 """Frameworks: VBBMC (vertex-oriented), EBBMC (edge-oriented) and HBBMC
 (hybrid), plus the named-algorithm registry used by every evaluation table.
 
-Edge-oriented branching (Algorithms 2–4 of the paper) is implemented in the
-*rank-threshold* form: a branch carries the rank ``r`` of the edge that
-created it, and the lazy invariant
+Edge-oriented branching (Algorithms 2–4 of the paper) keeps Eq.(2)'s
+shrinking edge sets the way EBBkC [19] does: by sweeping the edge order and
+deleting each edge once its branch is built. Every edge-oriented branch
+carries its *compat adjacency*: its candidate edges, which are exactly the
+edges ordered after the edge that created it (the lazy invariant of
+DESIGN.md §3). A branch (S, C, X) sweeps its compat edges among C in rank
+order; once edge e = (a, b) is deleted, the map ``live`` left holds exactly
+the edges ordered after e, and the sub-branch of e is
 
-    E(g_C) = { edges among V(g_C) with rank > r }
-
-holds at every depth (DESIGN.md §3), so Eq.(2)'s shrinking edge sets never
-need to be materialized. The sub-branch of edge e = (a, b) with rank r_e has
-
-    C' = { w ∈ C ∩ N(a) ∩ N(b) : rank(a,w) > r_e and rank(b,w) > r_e }
+    C' = live[a] ∩ live[b]
     X' = ((C ∪ X) ∩ N(a) ∩ N(b)) \\ C'
 
-— every common G-neighbor of S' lands in C' or X', so maximality checks stay
-exact. Zero-degree candidates (no compat edge to another candidate) are the
-Eq.(3) branches: ``S ∪ {v}`` is emitted iff no other common neighbor is
-G-adjacent to v.
+with ``live`` as its compat adjacency — every common G-neighbor of S' lands
+in C' or X', so maximality checks stay exact. The initial branch is (∅, V,
+∅) with G as its compat adjacency, so its sweep is one pass over the whole
+edge order (``run_roots``). Zero-degree candidates (no compat edge to
+another candidate) are the Eq.(3) branches: ``S ∪ {v}`` is emitted iff no
+other common neighbor is G-adjacent to v.
 
 ``d`` controls how many edge-oriented levels run before switching to the
 vertex-oriented kernel (Table IV); ``d=1`` is HBBMC, ``d=None`` is pure
@@ -26,18 +28,21 @@ The initial branch splits MCE into independent *root branches*: one per edge
 in rank order (hybrid/edge; a maximal clique belongs to the branch of its
 rank-minimal edge), one per degeneracy-ordered vertex (vertex framework; the
 branch of its first vertex), or the single whole-graph branch (``root=
-"global"``). ``plan_roots`` computes the initial branch once and ``run_root``
-runs any one root branch, so ``run_mce`` runs every root in process and
-``repro.dist.mce`` runs each Spark task's group of roots with the same code.
+"global"``). ``plan_roots`` computes the initial branch once and ``run_roots``
+runs any set of root branches in one sweep, so ``run_mce`` runs every root
+in process and ``repro.dist.mce`` runs each Spark task's group of roots with
+the same code.
 """
 from __future__ import annotations
 
+import sys
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
-from .kernels import KERNELS, Enumerator, Pair, _pair, kernel_fn
+from .kernels import KERNELS, Enumerator, kernel_fn
 from .localgraph import LocalGraph
-from .ordering import EDGE_ORDERS, degeneracy_order, edge_order_rank
+from .ordering import EDGE_ORDERS, Pair, degeneracy_order, edge_order_rank
 from .reduction import reduce_graph
 from .stats import BranchStats
 
@@ -135,7 +140,7 @@ class RootPlan:
 
     Every maximal clique is either in ``cliques`` or found by exactly one
     root branch of ``branches``, so any partition of the branches can run
-    anywhere (``run_root``) and the cliques and counters simply add up.
+    anywhere (``run_roots``) and the cliques and counters simply add up.
     Branch ids are edge ranks (hybrid/edge), vertex ids (degeneracy root)
     or 0 (global root).
     """
@@ -152,9 +157,7 @@ class RootPlan:
 
     def enumerator(self, *, collect: bool = True) -> Enumerator:
         """A fresh enumerator to run root branches of this plan on."""
-        return Enumerator(
-            self.adj, rank=self.rank, et_t=self.config.et_t, blocked=self.blocked, collect=collect
-        )
+        return Enumerator(self.adj, et_t=self.config.et_t, blocked=self.blocked, collect=collect)
 
 
 def plan_roots(g: LocalGraph, cfg: MceConfig) -> RootPlan:
@@ -203,64 +206,51 @@ def plan_roots(g: LocalGraph, cfg: MceConfig) -> RootPlan:
     )
 
 
-def run_root(enum: Enumerator, plan: RootPlan, branch_id: int) -> None:
-    """Run root branch ``branch_id`` of ``plan`` on ``enum`` (made by
-    ``plan.enumerator``), adding its cliques and counters to ``enum``."""
+def run_roots(enum: Enumerator, plan: RootPlan, branch_ids: Iterable[int]) -> None:
+    """Run the root branches ``branch_ids`` (any subset of the plan's ids,
+    in any order) of ``plan`` on ``enum`` (made by ``plan.enumerator``),
+    adding their cliques and counters to ``enum``. Raises Python's recursion
+    limit to what the plan's deepest branch can need."""
     cfg = plan.config
     kernel = kernel_fn(enum, cfg.kernel)
     adj = plan.adj
-    if plan.edges is not None:
-        a, b = plan.edges[branch_id]
-        d = None if cfg.framework == "edge" else cfg.d
-        # Every vertex is a candidate of the initial branch and none is
-        # excluded; only common neighbours of a and b matter, so N(a) can
-        # stand for the candidate set.
-        _edge_branch(enum, [], adj[a], set(), a, b, branch_id, 1, d, kernel)
-    elif plan.pos is not None:
+    d = None if cfg.framework == "edge" else cfg.d
+    # A kernel level costs at most 3 frames (kernel -> _pivot_branch ->
+    # _branch_on -> kernel) and an edge level 1; each adds at least one
+    # vertex to the clique S, so a root branch nests at most omega + d + 1 <=
+    # max degree + d + 2 levels. ET's path recursion adds at most one frame
+    # per candidate. Python's default limit stays on top for the caller's
+    # own frames.
+    max_deg = max(map(len, adj.values()), default=0)
+    needed = 3 * (max_deg + (d or 0) + 2) + max_deg + 1000
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), needed))
+    if plan.edges is None:
         pos = plan.pos
-        i = pos[branch_id]
-        nbrs = adj[branch_id]
-        kernel([branch_id], {u for u in nbrs if pos[u] > i}, {u for u in nbrs if pos[u] < i})
-    else:
-        kernel([], set(adj), set())
-
-
-def _edge_branch(
-    enum: Enumerator,
-    S: list[int],
-    C: set[int],
-    X: set[int],
-    a: int,
-    b: int,
-    r: int,
-    depth: int,
-    d: int | None,
-    kernel,
-) -> None:
-    """Eq.(2) sub-branch of the branch (S, C, X) on its edge (a, b) of rank
-    ``r``: build (S', C', X'), prune it, and recurse at ``depth``."""
-    adj = enum.adj
-    rank = enum.rank
-    ca, cb = adj[a], adj[b]
-    common_c = C & ca & cb
-    C2 = {
-        w
-        for w in common_c
-        if rank[(a, w) if a < w else (w, a)] > r and rank[(b, w) if b < w else (w, b)] > r
-    }
-    X2 = (X & ca & cb) | (common_c - C2)
-    S2 = S + [a, b]
-    # Prune dead sub-branches at creation (the paper's call counts on large
-    # graphs — fewer calls than edges — imply the same): an empty candidate
-    # set emits at most S', and an exclusion vertex adjacent to every
-    # candidate blocks every clique of the sub-branch.
-    if not C2:
-        if not X2:
-            enum.emit(S2)
+        for branch_id in branch_ids:
+            if pos is None:
+                kernel([], set(adj), set())
+            else:
+                i = pos[branch_id]
+                nbrs = adj[branch_id]
+                later = {u for u in nbrs if pos[u] > i}
+                kernel([branch_id], later, nbrs - later)
         return
-    if any(C2 <= adj[x] for x in X2):
+    wanted = set(branch_ids)
+    if not wanted:
         return
-    _ebb(enum, S2, C2, X2, r, depth, d, kernel)
+    # Sweep the edge order, deleting each edge once its rank is passed: at
+    # root r, rem holds exactly the edges ranked after r — the root's compat
+    # adjacency — and it does not change while the root runs. Every vertex
+    # is a candidate of the initial branch and none is excluded, so the
+    # root's X' is every other common neighbour of a and b.
+    rem = {v: set(nbrs) for v, nbrs in adj.items()}
+    for r, (a, b) in enumerate(plan.edges[: max(wanted) + 1]):
+        rem_a, rem_b = rem[a], rem[b]
+        rem_a.discard(b)
+        rem_b.discard(a)
+        if r in wanted:
+            C2 = rem_a & rem_b
+            _ebb(enum, [a, b], C2, (adj[a] & adj[b]) - C2, rem, plan.rank, 1, d, kernel)
 
 
 def _ebb(
@@ -268,46 +258,52 @@ def _ebb(
     S: list[int],
     C: set[int],
     X: set[int],
-    r: int,
+    cadj: dict[int, set[int]],
+    rank: dict[Pair, int],
     depth: int,
     d: int | None,
     kernel,
 ) -> None:
-    """Edge-oriented recursion (Eq. 2 + Eq. 3) below a root edge branch;
-    switches to ``kernel`` once ``depth`` reaches ``d``."""
-    st = enum.stats
-    st.calls += 1
-    if not C and not X:
-        enum.emit(S)
-        return
-    if d is not None and depth >= d:
-        # Hand over to the vertex-oriented kernel under this branch's rank
-        # threshold (dual adjacency; see repro.core.kernels docstring).
-        old_r = enum.cur_r
-        enum.cur_r = r
-        kernel(S, C, X)
-        enum.cur_r = old_r
-        return
+    """Edge-oriented branch (S, C, X) with compat adjacency ``cadj`` (Eq. 2
+    + Eq. 3), just built by its parent at ``depth``; switches to ``kernel``
+    once ``depth`` reaches ``d``."""
     adj = enum.adj
-    rank = enum.rank
-    edges: list[tuple[int, int, int]] = []
-    for u in C:
-        au = adj[u]
-        for v in C & au:
-            if u < v:
-                rr = rank[(u, v)]
-                if rr > r:
-                    edges.append((rr, u, v))
-    edges.sort()
-    for re_, a, b in edges:
-        _edge_branch(enum, S, C, X, a, b, re_, depth + 1, d, kernel)
-    # Eq.(3): candidates with no compat edge left — their only clique in this
+    # Prune dead branches at creation, without counting a call (the paper's
+    # call counts on large graphs — fewer calls than edges — imply the
+    # same): an empty candidate set emits at most S, and an exclusion vertex
+    # adjacent to every candidate blocks every clique of the branch.
+    if not C:
+        if not X:
+            enum.emit(S)
+        return
+    if any(C <= adj[x] for x in X):
+        return
+    enum.stats.calls += 1
+    if d is not None and depth >= d:
+        # Hand over to the vertex-oriented kernel under this branch's compat
+        # adjacency (dual adjacency; see repro.core.kernels docstring).
+        old_cadj = enum.cadj
+        enum.cadj = cadj
+        kernel(S, C, X)
+        enum.cadj = old_cadj
+        return
+    live = {u: C & cadj[u] for u in C}
+    # Eq.(3): candidates with no compat edge — their only clique in this
     # branch is S ∪ {v}, maximal iff nothing else common-adjacent touches v.
-    for v in sorted(C):
-        av = adj[v]
-        if any(rank[_pair(v, z)] > r for z in C & av):
-            continue
-        if not (((C | X) - {v}) & av):
+    isolated = [v for v in sorted(C) if not live[v]]
+    # Eq.(2): sweep this branch's compat edges among C in rank order, as
+    # run_roots sweeps G's. After edge (a, b) is deleted, live holds exactly
+    # the compat edges ranked after it: the child's compat adjacency.
+    for _, a, b in sorted((rank[(u, v)], u, v) for u in C for v in live[u] if u < v):
+        live_a, live_b = live[a], live[b]
+        live_a.discard(b)
+        live_b.discard(a)
+        C2 = live_a & live_b
+        ab = adj[a] & adj[b]
+        X2 = (X & ab) | ((C & ab) - C2)
+        _ebb(enum, S + [a, b], C2, X2, live, rank, depth + 1, d, kernel)
+    for v in isolated:
+        if not (((C | X) - {v}) & adj[v]):
             enum.emit(S + [v])
 
 
@@ -315,8 +311,7 @@ def _run(g: LocalGraph, cfg: MceConfig, collect: bool) -> MceRun:
     t0 = time.perf_counter()
     plan = plan_roots(g, cfg)
     enum = plan.enumerator(collect=collect)
-    for branch_id, _ in plan.branches:
-        run_root(enum, plan, branch_id)
+    run_roots(enum, plan, [branch_id for branch_id, _ in plan.branches])
     enum.stats.merge(plan.stats)
     seconds = time.perf_counter() - t0
     cliques = sorted(enum.out + plan.cliques) if collect else None

@@ -26,65 +26,57 @@ fast path), ``_early_term`` (the t-plex ET step), ``_branch_on`` (branch on
 w, then move w from C to X) and ``_pivot_branch`` (X-side pivot scan and the
 branch loop over C \\ N(p)).
 
-Dual adjacency (DESIGN.md §3): inside an edge-oriented branch created at
-truss rank ``r`` (``self.cur_r``), two candidates may only be *jointly
-included* if their edge is ordered after ``r`` — that is what attributes each
-maximal clique to exactly one root branch (the one of its rank-minimal edge).
-When the kernel branches on ``w``, candidates G-adjacent to ``w`` whose edge
-to ``w`` is ranked at or before ``r`` ("ghosts") drop into X: they still
-block maximality, but the clique containing both belongs to an earlier root
+Dual adjacency (DESIGN.md §3): inside an edge-oriented branch, two
+candidates may only be *jointly included* if their edge is ordered after the
+edge that created the branch — that is what attributes each maximal clique
+to exactly one root branch (the one of its rank-minimal edge). The branch's
+*compat adjacency* ``self.cadj`` (v -> the vertices v may be jointly included
+with) holds exactly those edges; ``repro.core.hbbmc`` sets it around the
+kernel call. When the kernel branches on ``w``, candidates G-adjacent to
+``w`` but not compat with it ("ghosts") drop into X: they still block
+maximality, but the clique containing both belongs to an earlier root
 branch. Pivot selection and X-blocking always use plain G-adjacency (if a
 surviving extension were entirely inside N_G(p), p would G-extend it, so it
-can never be maximal — valid for pivots from C or X). With ``cur_r`` unset
+can never be maximal — valid for pivots from C or X). With ``cadj`` unset
 the two relations coincide and the kernels are the textbook algorithms.
 
 The early-termination check exploits that the branch candidate graph's edge
-set is {edges among C with rank > r}: a t-plex under it requires a t-plex
-under G restricted to C (necessary, cheap, uses the degree scan the pivot
-needs anyway) plus ghost-freedom of C (verified by a pair scan only in the
-rare branches that pass the degree test).
+set is the compat edges among C: a t-plex under it requires a t-plex under G
+restricted to C (necessary, cheap, uses the degree scan the pivot needs
+anyway) plus ghost-freedom of C (verified by a subset test per candidate
+only in the rare branches that pass the degree test).
 """
 from __future__ import annotations
 
-import sys
 from typing import Callable, Iterable
 
 from .early_term import enumerate_tplex
 from .stats import BranchStats
 
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
-
-Pair = tuple[int, int]
 Kernel = Callable[[list[int], set[int], set[int]], None]
 
 
-def _pair(u: int, v: int) -> Pair:
-    return (u, v) if u < v else (v, u)
-
-
 class Enumerator:
-    """Holds the (reduced) graph, edge ranks, ET config and counters; the
-    kernel methods recurse on branch triples. One instance per MCE run (or
-    per Spark task)."""
+    """Holds the (reduced) graph, ET config and counters; the kernel methods
+    recurse on branch triples. One instance per MCE run (or per Spark
+    task)."""
 
     def __init__(
         self,
         adj: dict[int, set[int]],
         *,
-        rank: dict[Pair, int] | None = None,
         et_t: int = 0,
         blocked: set[frozenset[int]] | None = None,
         collect: bool = True,
     ):
         self.adj = adj
-        self.rank = rank
         self.et_t = et_t
         self.blocked = blocked or set()
         self.stats = BranchStats()
         self.out: list[tuple[int, ...]] | None = [] if collect else None
-        # Rank threshold of the enclosing edge-oriented branch (None outside
+        # Compat adjacency of the enclosing edge-oriented branch (None outside
         # one); set/restored by repro.core.hbbmc._ebb around kernel calls.
-        self.cur_r: int | None = None
+        self.cadj: dict[int, set[int]] | None = None
 
     # -- emission ---------------------------------------------------------
     def emit(self, clique: Iterable[int]) -> None:
@@ -126,26 +118,19 @@ class Enumerator:
         return True
 
     def _ghost_free(self, C: set[int], nbr_in_c: dict[int, set[int]]) -> bool:
-        """True iff no pair inside C is ranked at or before ``cur_r`` — then
-        the branch's candidate edge set restricted to C equals G's."""
-        if self.cur_r is None:
-            return True
-        rank, r = self.rank, self.cur_r
-        for v in C:
-            for z in nbr_in_c[v]:
-                if v < z and rank[(v, z)] <= r:
-                    return False
-        return True
+        """True iff every G-edge inside C is compat — then the branch's
+        candidate edge set restricted to C equals G's."""
+        cadj = self.cadj
+        return cadj is None or all(nbr_in_c[v] <= cadj[v] for v in C)
 
     def _split_child(self, w: int, gz: set[int], Xn: set[int]) -> tuple[set[int], set[int]]:
         """Child (C, X) after branching on ``w``: ``gz`` = candidates
         G-adjacent to w, ``Xn`` = exclusion vertices G-adjacent to w. Ghost
-        candidates (edge to w ranked at or before cur_r) drop into X."""
-        r = self.cur_r
-        if r is None:
+        candidates (G-adjacent to w but not compat with it) drop into X."""
+        cadj = self.cadj
+        if cadj is None:
             return gz, Xn
-        rank = self.rank
-        Cw = {z for z in gz if rank[(w, z) if w < z else (z, w)] > r}
+        Cw = gz & cadj[w]
         if len(Cw) == len(gz):
             return Cw, Xn
         return Cw, Xn | (gz - Cw)

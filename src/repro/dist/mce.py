@@ -16,13 +16,14 @@ Xu et al. [17]):
    never more tasks than branches. The plan and the groups are broadcast
    once.
 3. ``spark.range(n_tasks, numPartitions=n_tasks).mapInPandas`` runs task
-   ``t`` over group ``t``: it calls ``repro.core.hbbmc.run_root`` on each of
-   the group's branches — the same executor the local runner loops over —
-   and emits one row per maximal clique (``kind='clique'``, payload =
-   comma-joined vertex ids) plus one counter row (``kind='stats'``, payload
-   = JSON) — strings, so results stay orderable/joinable. No shuffle
-   precedes this stage, so adaptive query execution cannot coalesce the
-   tasks into fewer partitions.
+   ``t`` over group ``t``: it calls ``repro.core.hbbmc.run_roots`` once on
+   the group's branches — the same executor the local runner calls once on
+   every branch; for edge frameworks it sweeps the edge order up to the
+   group's last branch — and emits one row per maximal clique
+   (``kind='clique'``, payload = comma-joined vertex ids) plus one counter
+   row (``kind='stats'``, payload = JSON) — strings, so results stay
+   orderable/joinable. No shuffle precedes this stage, so adaptive query
+   execution cannot coalesce the tasks into fewer partitions.
 4. The driver adds the plan's own cliques and counters, and returns a
    clique DataFrame and the merged ``BranchStats``.
 
@@ -40,7 +41,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from ..core.hbbmc import plan_roots, resolve_config, run_root
+from ..core.hbbmc import plan_roots, resolve_config, run_roots
 from ..core.stats import BranchStats
 from ..graphs.edgelist import to_local
 
@@ -86,8 +87,7 @@ def mce_distributed(
         for batch in batches:
             for t in batch["id"].tolist():
                 enum = plan.enumerator()
-                for bid in groups[t]:
-                    run_root(enum, plan, bid)
+                run_roots(enum, plan, groups[t])
                 yield pd.DataFrame(
                     {
                         "kind": ["clique"] * len(enum.out) + ["stats"],

@@ -97,6 +97,7 @@ def test_distributed_depth_two(spark, social_pair):
     edf, g = social_pair
     res = mce_distributed(spark, edf, "HBBMC++", d=2, num_partitions=3)
     assert _dist_cliques(res) == reference_mce(g)
+    assert res.stats.as_dict() == run_named(g, "HBBMC++", d=2).stats.as_dict()
 
 
 def test_distributed_counts_and_stats(spark, social_pair):

@@ -1,9 +1,18 @@
 """Integration fuzz of the frameworks: HBBMC (hybrid), EBBMC (edge), the
 named algorithm registry, parameter sweeps, and counter invariants."""
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.core.hbbmc import ALGORITHMS, run_mce, run_named
-from repro.core.ordering import truss_order
+import repro
+from repro.core.hbbmc import ALGORITHMS, plan_roots, resolve_config, run_mce, run_named, run_roots
+from repro.core.ordering import EDGE_ORDERS, truss_order
+from repro.core.stats import BranchStats
+from repro.graphs.datasets import load_local
 from repro.graphs.generators import (
     ba_edges,
     caveman_edges,
@@ -181,3 +190,102 @@ def test_branch_bound_tau_respected():
 def test_seconds_recorded():
     g = to_local(er_edges(30, 100, 0), 30)
     assert run_named(g, "HBBMC++").seconds > 0
+
+
+#: (calls, et_plex, et_applied, cliques, root_branches, gr_cliques, n_cliques)
+#: on the OR test-scale surrogate, recorded by running the commit before
+#: run_roots replaced the per-pair rank test with the edge-order sweep. A
+#: speed-up must not move them: #calls is the machine-independent control.
+PINNED_COUNTERS = {
+    ("Fac++", None): (2902, 1922, 551, 1325, 1641, 0, 1325),
+    ("HBBMC+", None): (3306, 0, 0, 1325, 1641, 0, 1325),
+    ("HBBMC++", None): (2522, 1562, 554, 1325, 1641, 0, 1325),
+    ("HBBMC-dgn", None): (2406, 1408, 463, 1325, 1641, 0, 1325),
+    ("HBBMC-mdg", None): (1827, 821, 351, 1325, 1641, 0, 1325),
+    ("RDegen", None): (2542, 0, 0, 1325, 240, 0, 1325),
+    ("RFac", None): (2961, 0, 0, 1325, 240, 0, 1325),
+    ("RRcd", None): (1540, 0, 0, 1325, 240, 0, 1325),
+    ("RRef", None): (2407, 0, 0, 1325, 1, 0, 1325),
+    ("Rcd++", None): (1896, 1330, 293, 1325, 1641, 0, 1325),
+    ("Ref++", None): (2522, 1562, 554, 1325, 1641, 0, 1325),
+    ("VBBMC-dgn", None): (1601, 763, 379, 1325, 240, 0, 1325),
+    ("HBBMC++", 2): (2245, 1052, 341, 1325, 1641, 0, 1325),
+    ("HBBMC++", 3): (2033, 520, 284, 1325, 1641, 0, 1325),
+}
+
+
+def test_counters_pinned():
+    assert {name for name, _ in PINNED_COUNTERS} == set(ALGORITHMS)
+    g = load_local("OR", "test")
+    measured = {}
+    for name, d in PINNED_COUNTERS:
+        r = run_named(g, name, collect=False, **({} if d is None else {"d": d}))
+        measured[(name, d)] = (*r.stats.as_dict().values(), r.n_cliques)
+    assert measured == PINNED_COUNTERS
+
+
+SPLIT_CONFIGS = [
+    *[
+        pytest.param("HBBMC++", {"d": d, "edge_order": eo}, id=f"hybrid-d{d}-{eo}")
+        for d in (1, 2)
+        for eo in EDGE_ORDERS
+    ],
+    pytest.param("RDegen", {}, id="vertex-degeneracy"),
+]
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("name,overrides", SPLIT_CONFIGS)
+def test_run_roots_split_invariance(name, overrides, k):
+    """Root branches dealt into k random groups, each shuffled and run on
+    its own enumerator (the Spark task layout), add up to one run over all
+    of them; an empty group adds nothing."""
+    plan = plan_roots(load_local("OR", "test"), resolve_config(name, overrides))
+    ids = [bid for bid, _ in plan.branches]
+    whole = plan.enumerator()
+    run_roots(whole, plan, ids)
+    rng = random.Random(k)
+    groups = [[] for _ in range(k)]
+    for bid in ids:
+        groups[rng.randrange(k)].append(bid)
+    stats, cliques = BranchStats(), []
+    for group in groups + [[]]:
+        rng.shuffle(group)
+        enum = plan.enumerator()
+        run_roots(enum, plan, group)
+        stats.merge(enum.stats)
+        cliques += enum.out
+    assert sorted(cliques) == sorted(whole.out)
+    assert stats.as_dict() == whole.stats.as_dict()
+
+
+def _fresh_python(code: str) -> str:
+    """stdout of ``code`` run in a new interpreter that imports this repro."""
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def test_import_leaves_recursion_limit():
+    code = (
+        "import sys; before = sys.getrecursionlimit(); "
+        "import repro.core.hbbmc; print(sys.getrecursionlimit() == before)"
+    )
+    assert _fresh_python(code) == "True"
+
+
+def test_deep_clique_raises_recursion_limit():
+    """K_400 nests 400 kernel levels on one global root, more frames than
+    Python's default limit of 1000 allows; run_roots raises the limit."""
+    code = (
+        "import itertools; "
+        "from repro.core.hbbmc import run_mce; "
+        "from repro.core.localgraph import LocalGraph; "
+        "g = LocalGraph.from_edges(itertools.combinations(range(400), 2)); "
+        "r = run_mce(g, framework='vertex', root='global', et_t=0, gr=False); "
+        "print(r.cliques == [tuple(range(400))])"
+    )
+    assert _fresh_python(code) == "True"
