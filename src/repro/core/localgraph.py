@@ -73,10 +73,6 @@ class LocalGraph:
         keep = set(vs)
         return LocalGraph({v: self.adj[v] & keep for v in keep})
 
-    def remove_vertex(self, v: int) -> None:
-        for u in self.adj.pop(v, set()):
-            self.adj[u].discard(v)
-
     def density(self) -> float:
         """Edge density rho = m / n as defined in the paper (Section III-C)."""
         return self.m / self.n if self.n else 0.0

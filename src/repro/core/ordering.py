@@ -68,7 +68,11 @@ class TrussResult:
 
 
 def truss_order(g: LocalGraph) -> TrussResult:
-    """Greedy min-support edge peel, O(m * delta + m log m).
+    """Greedy min-support edge peel, O(m * delta + m log m): the support
+    counts and the per-edge common-neighbour scans are O(m * delta), the
+    initial sort O(m log m), and the bucket queue adds O(1) amortised per
+    pop and per support decrement (each of the at most 2 * #triangles stale
+    entries is skipped once).
 
     ``support(e)`` = number of common neighbors of e's endpoints in the graph
     induced by the not-yet-peeled edges. Ties break on the (u, v) pair so the
@@ -82,24 +86,34 @@ def truss_order(g: LocalGraph) -> TrussResult:
     sup: dict[int, int] = {}
     for u, v in g.edges():
         sup[u * span + v] = len(adj[u] & adj[v])
-    # Bucket queue over support values; each bucket is an insertion-ordered
-    # dict used as a set, so peeling is O(m + #triangles) and deterministic
-    # (edges enter buckets in sorted order and leave FIFO).
+    # Bucket queue over support values: each bucket is a list read from a
+    # head index. An edge whose support drops is appended to its new bucket
+    # and its old entry goes stale (skipped on pop: ``sup`` no longer names
+    # that bucket; a peeled edge's ``sup`` is -1). Supports only fall, so a
+    # list holds each edge at most once, and the live entries leave each
+    # bucket FIFO in the order they entered (sorted at the start), which
+    # makes the order deterministic.
     max_s = max(sup.values(), default=0)
-    buckets: list[dict[int, None]] = [dict() for _ in range(max_s + 1)]
+    buckets: list[list[int]] = [[] for _ in range(max_s + 1)]
     for e in sorted(sup):
-        buckets[sup[e]][e] = None
+        buckets[sup[e]].append(e)
+    heads = [0] * (max_s + 1)
     order_codes: list[int] = []
     tau = 0
     cur = 0
     m = len(sup)
     while len(order_codes) < m:
         bucket = buckets[cur]
-        if not bucket:
+        h = heads[cur]
+        while h < len(bucket) and sup[bucket[h]] != cur:
+            h += 1
+        if h == len(bucket):
+            heads[cur] = h
             cur += 1
             continue
-        e = next(iter(bucket))
-        del bucket[e]
+        e = bucket[h]
+        heads[cur] = h + 1
+        sup[e] = -1
         u, v = divmod(e, span)
         order_codes.append(e)
         if cur > tau:
@@ -111,12 +125,11 @@ def truss_order(g: LocalGraph) -> TrussResult:
             f1 = u * span + w if u < w else w * span + u
             f2 = v * span + w if v < w else w * span + v
             for f in (f1, f2):
-                sf = sup[f]
-                del buckets[sf][f]
-                sup[f] = sf - 1
-                buckets[sf - 1][f] = None
-                if sf - 1 < cur:
-                    cur = sf - 1
+                sf = sup[f] - 1
+                sup[f] = sf
+                buckets[sf].append(f)
+                if sf < cur:
+                    cur = sf
         au.discard(v)
         av.discard(u)
     order = [divmod(e, span) for e in order_codes]

@@ -7,17 +7,37 @@ of size <= 3, all of which are enumerable by inspecting its current
 neighborhood. Peeling cascades (removals can push neighbors under the
 threshold).
 
+The peel is a worklist over the caller's ``g.adj``, which it only reads:
+integer degree counters, a list seeded with every vertex of degree <= 2,
+and a vertex appended again only when its degree falls to exactly 2, so
+each vertex is popped once. Peeling low-degree vertices in *any* order
+removes exactly the vertices outside the 3-core, which is unique
+(Batagelj & Zaversnik, 2003), so the pop order changes neither the removed
+set nor the reduced graph. It does not change the clique set either: a
+removed vertex's cliques are those of its neighbours still present when it
+goes, filtered by ``blocked``. Only the order of ``cliques`` and the
+``blocked`` entries that contain a removed vertex depend on it, and the
+runners sort the output and search only the core.
+
 Exactness bookkeeping (DESIGN.md §3): when v is removed, every *future*
 clique that is a nonempty clique-subset of N(v) (necessarily of size <= 2)
 has v as a phantom blocker and must never be emitted, by the peel itself or
 by the later branch-and-bound run on the reduced graph. Those subsets are
 recorded in ``blocked``; all size <= 2 emissions are filtered against it.
 A phantom blocker of a size >= 3 clique would have had degree >= 3 at its
-removal time — impossible here — so size <= 2 filtering is exact.
+removal time — impossible here — so size <= 2 filtering is exact. Every
+removed w still has all of N(w) ∩ core when it goes, so the core part of
+``blocked`` is the same for every pop order.
+
+The survivors' sets are built once, at the end: each is a copy of its
+``g.adj`` set with the removed neighbours discarded one at a time. A
+discard never resizes a set, so each copy keeps the hash-table layout, and
+so the iteration order, of a fresh copy of the input set. A bulk set
+difference may resize the table and reorder it, and the truss peel breaks
+ties in that order, so the edge ranks and ``#calls`` would move.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from .localgraph import LocalGraph
@@ -32,50 +52,59 @@ class Reduction:
 
 
 def reduce_graph(g: LocalGraph, *, enabled: bool = True) -> Reduction:
-    """Apply GR; with ``enabled=False`` returns the graph untouched (so
-    runners can treat GR uniformly as a pipeline stage)."""
+    """Apply GR without modifying ``g``; with ``enabled=False`` returns a
+    copy of the graph (so runners can treat GR uniformly as a pipeline
+    stage)."""
     if not enabled:
         return Reduction(reduced=g.copy())
-    h = g.copy()
-    adj = h.adj
+    adj = g.adj
+    deg = {v: len(nbrs) for v, nbrs in adj.items()}
     blocked: set[frozenset[int]] = set()
     cliques: list[tuple[int, ...]] = []
-    removed = 0
 
     def emit(c: tuple[int, ...]) -> None:
+        """Record the sorted clique ``c`` unless a removed vertex blocks it."""
         if len(c) <= 2 and frozenset(c) in blocked:
             return
-        cliques.append(tuple(sorted(c)))
+        cliques.append(c)
 
-    heap = [(len(nbrs), v) for v, nbrs in adj.items() if len(nbrs) <= 2]
-    heapq.heapify(heap)
+    work = [v for v, d in deg.items() if d <= 2]
     gone: set[int] = set()
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in gone or len(adj[v]) != d or len(adj[v]) > 2:
-            continue
-        nbrs = sorted(adj[v])
-        if d == 0:
+    while work:
+        v = work.pop()
+        nbrs = [u for u in adj[v] if u not in gone]
+        if not nbrs:
             emit((v,))
-        elif d == 1:
+        elif len(nbrs) == 1:
             (u,) = nbrs
-            emit((v, u))
+            emit((v, u) if v < u else (u, v))
             blocked.add(frozenset((u,)))
         else:
             a, b = nbrs
             if b in adj[a]:
-                emit((v, a, b))
+                emit(tuple(sorted((v, a, b))))
                 blocked.update(
                     (frozenset((a,)), frozenset((b,)), frozenset((a, b)))
                 )
             else:
-                emit((v, a))
-                emit((v, b))
+                emit((v, a) if v < a else (a, v))
+                emit((v, b) if v < b else (b, v))
                 blocked.update((frozenset((a,)), frozenset((b,))))
         gone.add(v)
-        removed += 1
-        h.remove_vertex(v)
         for u in nbrs:
-            if u not in gone and len(adj[u]) <= 2:
-                heapq.heappush(heap, (len(adj[u]), u))
-    return Reduction(reduced=h, cliques=cliques, blocked=blocked, removed=removed)
+            deg[u] -= 1
+            if deg[u] == 2:
+                work.append(u)
+    core: dict[int, set[int]] = {}
+    for v, nbrs in adj.items():
+        if v in gone:
+            continue
+        s = set(nbrs)
+        if deg[v] < len(nbrs):
+            for u in nbrs:
+                if u in gone:
+                    s.discard(u)
+        core[v] = s
+    return Reduction(
+        reduced=LocalGraph(core), cliques=cliques, blocked=blocked, removed=len(gone)
+    )

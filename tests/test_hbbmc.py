@@ -22,6 +22,7 @@ from repro.graphs.generators import (
     to_local,
 )
 from repro.reference import reference_mce, verify_cliques
+from tests.test_reduction import tail_graph
 
 GRAPHS = [
     ("er-sparse", lambda s: to_local(er_edges(40, 120, s), 40)),
@@ -222,6 +223,37 @@ def test_counters_pinned():
         r = run_named(g, name, collect=False, **({} if d is None else {"d": d}))
         measured[(name, d)] = (*r.stats.as_dict().values(), r.n_cliques)
     assert measured == PINNED_COUNTERS
+
+
+#: (calls, et_plex, et_applied, cliques, root_branches, gr_cliques, n_cliques)
+#: on ``tail_graph()``, where GR removes 2,924 of 3,096 vertices and emits
+#: 4,338 of the 4,732 cliques (GR removes nothing on the surrogates, so
+#: ``test_counters_pinned`` never exercises it). Recorded by running the
+#: commit before GR became a worklist peel over the caller's graph.
+PINNED_COUNTERS_GR_HEAVY = {
+    "Fac++": (920, 718, 114, 394, 704, 4338, 4732),
+    "HBBMC+": (1150, 0, 0, 394, 704, 4338, 4732),
+    "HBBMC++": (811, 609, 147, 394, 704, 4338, 4732),
+    "HBBMC-dgn": (808, 608, 123, 394, 704, 4338, 4732),
+    "HBBMC-mdg": (273, 162, 79, 394, 704, 4338, 4732),
+    "RDegen": (955, 0, 0, 394, 172, 4338, 4732),
+    "RFac": (1071, 0, 0, 394, 172, 4338, 4732),
+    "RRcd": (474, 0, 0, 394, 172, 4338, 4732),
+    "RRef": (851, 0, 0, 394, 1, 4338, 4732),
+    "Rcd++": (475, 345, 50, 394, 704, 4338, 4732),
+    "Ref++": (811, 609, 147, 394, 704, 4338, 4732),
+    "VBBMC-dgn": (452, 345, 80, 394, 172, 4338, 4732),
+}
+
+
+def test_counters_pinned_gr_heavy():
+    assert set(PINNED_COUNTERS_GR_HEAVY) == set(ALGORITHMS)
+    g = tail_graph()
+    measured = {}
+    for name in PINNED_COUNTERS_GR_HEAVY:
+        r = run_named(g, name, collect=False)
+        measured[name] = (*r.stats.as_dict().values(), r.n_cliques)
+    assert measured == PINNED_COUNTERS_GR_HEAVY
 
 
 SPLIT_CONFIGS = [

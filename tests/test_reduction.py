@@ -1,10 +1,21 @@
 """Tests for graph reduction (GR) and its blocked-set bookkeeping."""
+import numpy as np
 import pytest
 
 from repro.core.localgraph import LocalGraph
 from repro.core.reduction import reduce_graph
-from repro.graphs.generators import ba_edges, er_edges, to_local
+from repro.graphs.generators import ba_edges, er_edges, social_edges, to_local
 from repro.reference import reference_mce
+
+
+def tail_graph(seed: int = 5) -> LocalGraph:
+    """A long low-degree tail, as in the ``sparse-local`` benchmark input: a
+    tree-like part (``m_attach=1``) carrying one dense core, disjoint-unioned
+    with an ``m_attach=2`` part, both with small 2-plex caves. 3,096
+    vertices; GR removes all but 172 of them."""
+    a = social_edges(1500, 1, seed, caves=(4, 12, 5), core=(30, 0.3))
+    b = social_edges(1500, 2, seed + 1, caves=(4, 12, 5))
+    return to_local(np.concatenate([a, b + int(a.max()) + 1]))
 
 
 def full_output(g, red, extra=()):
@@ -86,3 +97,69 @@ def test_two_triangles_sharing_an_edge_cascade():
     g = LocalGraph.from_edges([(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
     red = reduce_graph(g)
     assert full_output(g, red) == [(0, 1, 2), (1, 2, 3)]
+
+
+# -- GR by its order-free definition --------------------------------------
+GR_GRAPHS = [
+    *[pytest.param(lambda s=s: to_local(ba_edges(60, 2, s), 60), id=f"ba-{s}") for s in range(8)],
+    *[pytest.param(lambda s=s: to_local(er_edges(50, 140, s), 50), id=f"er-{s}") for s in range(8)],
+    pytest.param(tail_graph, id="tail"),
+]
+
+
+def three_core(g):
+    """Vertices of the 3-core, by repeatedly dropping any vertex with fewer
+    than three neighbours left."""
+    core = set(g.adj)
+    while drop := {v for v in core if len(g.adj[v] & core) < 3}:
+        core -= drop
+    return core
+
+
+@pytest.mark.parametrize("make", GR_GRAPHS)
+def test_gr_removes_exactly_the_complement_of_the_3_core(make):
+    g = make()
+    core = three_core(g)
+    red = reduce_graph(g)
+    assert red.removed == g.n - len(core)
+    assert red.reduced.adj == {v: g.adj[v] & core for v in core}
+    # Each survivor's set iterates like a fresh copy of its input set with
+    # the removed vertices skipped: the truss peel breaks ties in that order.
+    for v in core:
+        assert list(red.reduced.adj[v]) == [u for u in set(g.adj[v]) if u in core]
+
+
+@pytest.mark.parametrize("make", GR_GRAPHS)
+def test_gr_cliques_are_the_cliques_through_removed_vertices(make):
+    g = make()
+    red = reduce_graph(g)
+    core = set(red.reduced.adj)
+    assert len(set(red.cliques)) == len(red.cliques)
+    assert set(red.cliques) == {c for c in reference_mce(g) if not set(c) <= core}
+
+
+@pytest.mark.parametrize("make", GR_GRAPHS)
+def test_gr_core_blocked_sets(make):
+    """Each removed w blocks every nonempty clique in N(w) ∩ core: the
+    singletons, and the pair itself when it is an edge."""
+    g = make()
+    red = reduce_graph(g)
+    core = set(red.reduced.adj)
+    want = set()
+    for w in set(g.adj) - core:
+        nc = g.adj[w] & core
+        want.update(frozenset((a,)) for a in nc)
+        if len(nc) == 2:
+            a, b = nc
+            if b in g.adj[a]:
+                want.add(frozenset(nc))
+    assert {b for b in red.blocked if b <= core} == want
+
+
+@pytest.mark.parametrize("make", GR_GRAPHS)
+def test_gr_leaves_the_input_untouched(make):
+    g = make()
+    before = {v: set(nbrs) for v, nbrs in g.adj.items()}
+    red = reduce_graph(g)
+    assert g.adj == before
+    assert not {id(s) for s in g.adj.values()} & {id(s) for s in red.reduced.adj.values()}
