@@ -1,18 +1,11 @@
-"""Shared helpers for the table benchmarks.
-
-Each bench runs one full table harness exactly once (pedantic, 1 round — the
-harness itself is a multi-minute sweep, statistical rounds are pointless) and
-persists the paper-vs-measured rows to results/tableN.json, which
-EXPERIMENTS.md is generated from.
-"""
+"""Where the benchmarks persist their rows (``results/``), which
+EXPERIMENTS.md is generated from."""
 import json
 import pathlib
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
-def run_table(benchmark, fn, out_name, **kwargs):
-    rows = benchmark.pedantic(lambda: fn(**kwargs), rounds=1, iterations=1)
+def save(name: str, obj) -> None:
     RESULTS.mkdir(exist_ok=True)
-    (RESULTS / out_name).write_text(json.dumps(rows, indent=1, default=str))
-    return rows
+    (RESULTS / name).write_text(json.dumps(obj, indent=1, default=str))

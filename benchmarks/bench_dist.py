@@ -5,12 +5,11 @@ EXPERIMENTS.md "Distributed execution"). The serial-vs-parallel pair on the
 heavyweight OR surrogate records the scale-out behaviour of the branch
 partitioning into results/dist.json.
 """
-import json
 import time
 
 import pytest
 
-from benchmarks._common import RESULTS
+from benchmarks._common import save
 from repro.dist.mce import mce_distributed
 from repro.graphs.datasets import load_edges
 from repro.graphs.edgelist import edges_df
@@ -45,8 +44,7 @@ def test_distributed_hbbmcpp_scaleout(benchmark, spark, or_edges):
         )
 
     row = benchmark.pedantic(run_pair, rounds=1, iterations=1)
-    RESULTS.mkdir(exist_ok=True)
-    (RESULTS / "dist.json").write_text(json.dumps(row, indent=1))
+    save("dist.json", row)
     assert row["n_cliques"] > 0
 
 

@@ -1,5 +1,6 @@
-"""Frameworks: VBBMC (vertex-oriented), EBBMC (edge-oriented) and HBBMC
-(hybrid), plus the named-algorithm registry used by every evaluation table.
+"""Frameworks: VBBMC (vertex-oriented) and HBBMC (hybrid), plus the
+named-algorithm registry used by every evaluation table. EBBMC (pure
+edge-oriented branching) is the hybrid whose edge levels never hand over.
 
 Edge-oriented branching (Algorithms 2–4 of the paper) keeps Eq.(2)'s
 shrinking edge sets the way EBBkC [19] does: by sweeping the edge order and
@@ -21,11 +22,13 @@ another candidate) are the Eq.(3) branches: ``S ∪ {v}`` is emitted iff no
 other common neighbor is G-adjacent to v.
 
 ``d`` controls how many edge-oriented levels run before switching to the
-vertex-oriented kernel (Table IV); ``d=1`` is HBBMC, ``d=None`` is pure
-EBBMC.
+vertex-oriented kernel (Table IV); ``d=1`` is HBBMC. Each level adds two
+vertices to S, so a branch at depth ``d`` with a candidate left holds a
+clique of 2d + 1 vertices: with ``d > ω/2`` no branch reaches the kernel and
+the hybrid is pure EBBMC.
 
 The initial branch splits MCE into independent *root branches*: one per edge
-in rank order (hybrid/edge; a maximal clique belongs to the branch of its
+in rank order (hybrid; a maximal clique belongs to the branch of its
 rank-minimal edge), one per degeneracy-ordered vertex (vertex framework; the
 branch of its first vertex), or the single whole-graph branch (``root=
 "global"``). ``plan_roots`` computes the initial branch once and ``run_roots``
@@ -66,15 +69,16 @@ class MceRun:
 class MceConfig:
     """One run configuration; ``ALGORITHMS`` names the ones in the tables.
 
-    framework: ``"hybrid"`` (edge-oriented root, Table II's HBBMC), ``"edge"``
-    (pure EBBMC, edge-oriented branching all the way down), or ``"vertex"``
-    (VBBMC). Setting a key the framework does not read is an error.
+    framework: ``"hybrid"`` (edge-oriented root, Table II's HBBMC) or
+    ``"vertex"`` (VBBMC). Setting a key the framework does not read is an
+    error.
     kernel (hybrid/vertex): the vertex-oriented kernel
     (``repro.core.kernels.KERNELS``).
     root (vertex framework): ``"degeneracy"`` (BK_Degen-style initial
     branching) or ``"global"`` (single root branch, BK_Pivot/BK_Ref-style).
-    edge_order (hybrid/edge): ``"truss"``, ``"dgn"`` or ``"mdg"`` (Table VI).
-    d (hybrid): edge-oriented levels before the kernel takes over (Table IV).
+    edge_order (hybrid): ``"truss"``, ``"dgn"`` or ``"mdg"`` (Table VI).
+    d (hybrid): edge-oriented levels before the kernel takes over (Table IV);
+    any ``d > ω/2`` (ω the largest clique size) never hands over: pure EBBMC.
     et_t: early-termination threshold t (1, 2 or 3), 0 for none (Table V).
     gr: apply graph reduction first (True or False).
     """
@@ -83,7 +87,7 @@ class MceConfig:
     kernel: str = "tomita"
     root: str = "degeneracy"
     edge_order: str = "truss"
-    d: int | None = 1
+    d: int = 1
     et_t: int = 3
     gr: bool = True
 
@@ -91,9 +95,12 @@ class MceConfig:
 #: Config keys each framework never reads.
 _UNREAD_KEYS: dict[str, tuple[str, ...]] = {
     "hybrid": ("root",),
-    "edge": ("root", "d", "kernel"),
     "vertex": ("d", "edge_order"),
 }
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def resolve_config(name: str | None, overrides: dict) -> MceConfig:
@@ -114,7 +121,7 @@ def resolve_config(name: str | None, overrides: dict) -> MceConfig:
         raise ValueError(f"unknown config keys {unknown}; one of {sorted(keys)}")
     merged = {**base, **overrides}
     cfg = MceConfig(**merged)
-    if cfg.framework not in ("hybrid", "edge", "vertex"):
+    if cfg.framework not in ("hybrid", "vertex"):
         raise ValueError(f"unknown framework {cfg.framework!r}")
     if cfg.root not in ("degeneracy", "global"):
         raise ValueError(f"unknown root {cfg.root!r}")
@@ -122,9 +129,9 @@ def resolve_config(name: str | None, overrides: dict) -> MceConfig:
         raise ValueError(f"unknown kernel {cfg.kernel!r}; one of {sorted(KERNELS)}")
     if cfg.edge_order not in EDGE_ORDERS:
         raise ValueError(f"unknown edge order {cfg.edge_order!r}; one of {list(EDGE_ORDERS)}")
-    if cfg.framework == "hybrid" and (cfg.d is None or cfg.d < 1):
-        raise ValueError("hybrid framework needs d >= 1")
-    if cfg.et_t not in (0, 1, 2, 3):
+    if not _is_int(cfg.d) or cfg.d < 1:
+        raise ValueError(f"d must be an int with d >= 1, not {cfg.d!r}")
+    if not _is_int(cfg.et_t) or cfg.et_t not in (0, 1, 2, 3):
         raise ValueError(f"et_t must be 0 (no ET), 1, 2 or 3, not {cfg.et_t!r}")
     if not isinstance(cfg.gr, bool):
         raise ValueError(f"gr must be True or False, not {cfg.gr!r}")
@@ -141,15 +148,15 @@ class RootPlan:
     Every maximal clique is either in ``cliques`` or found by exactly one
     root branch of ``branches``, so any partition of the branches can run
     anywhere (``run_roots``) and the cliques and counters simply add up.
-    Branch ids are edge ranks (hybrid/edge), vertex ids (degeneracy root)
+    Branch ids are edge ranks (hybrid), vertex ids (degeneracy root)
     or 0 (global root).
     """
 
     config: MceConfig
     adj: dict[int, set[int]]  # the GR-reduced graph
     blocked: set[frozenset[int]]  # GR blocked sets (Enumerator.emit)
-    rank: dict[Pair, int] | None  # hybrid/edge: rank of every edge
-    edges: list[Pair] | None  # hybrid/edge: edges[r] has rank r
+    rank: dict[Pair, int] | None  # hybrid: rank of every edge
+    edges: list[Pair] | None  # hybrid: edges[r] has rank r
     pos: dict[int, int] | None  # degeneracy root: vertex positions
     branches: list[tuple[int, int]]  # (branch id, balance cost), run order
     cliques: list[tuple[int, ...]]  # found while planning: GR + root Eq.(3)
@@ -214,15 +221,15 @@ def run_roots(enum: Enumerator, plan: RootPlan, branch_ids: Iterable[int]) -> No
     cfg = plan.config
     kernel = kernel_fn(enum, cfg.kernel)
     adj = plan.adj
-    d = None if cfg.framework == "edge" else cfg.d
     # A kernel level costs at most 3 frames (kernel -> _pivot_branch ->
     # _branch_on -> kernel) and an edge level 1; each adds at least one
     # vertex to the clique S, so a root branch nests at most omega + d + 1 <=
-    # max degree + d + 2 levels. ET's path recursion adds at most one frame
-    # per candidate. Python's default limit stays on top for the caller's
-    # own frames.
+    # max degree + d + 2 levels; no branch has more than max degree + 2
+    # levels at all, so a deeper d adds nothing. ET's path recursion adds at
+    # most one frame per candidate. Python's default limit stays on top for
+    # the caller's own frames.
     max_deg = max(map(len, adj.values()), default=0)
-    needed = 3 * (max_deg + (d or 0) + 2) + max_deg + 1000
+    needed = 3 * (max_deg + min(cfg.d, max_deg + 2) + 2) + max_deg + 1000
     sys.setrecursionlimit(max(sys.getrecursionlimit(), needed))
     if plan.edges is None:
         pos = plan.pos
@@ -250,7 +257,7 @@ def run_roots(enum: Enumerator, plan: RootPlan, branch_ids: Iterable[int]) -> No
         rem_b.discard(a)
         if r in wanted:
             C2 = rem_a & rem_b
-            _ebb(enum, [a, b], C2, (adj[a] & adj[b]) - C2, rem, plan.rank, 1, d, kernel)
+            _ebb(enum, [a, b], C2, (adj[a] & adj[b]) - C2, rem, plan.rank, 1, cfg.d, kernel)
 
 
 def _ebb(
@@ -261,7 +268,7 @@ def _ebb(
     cadj: dict[int, set[int]],
     rank: dict[Pair, int],
     depth: int,
-    d: int | None,
+    d: int,
     kernel,
 ) -> None:
     """Edge-oriented branch (S, C, X) with compat adjacency ``cadj`` (Eq. 2
@@ -279,7 +286,7 @@ def _ebb(
     if any(C <= adj[x] for x in X):
         return
     enum.stats.calls += 1
-    if d is not None and depth >= d:
+    if depth >= d:
         # Hand over to the vertex-oriented kernel under this branch's compat
         # adjacency (dual adjacency; see repro.core.kernels docstring).
         old_cadj = enum.cadj

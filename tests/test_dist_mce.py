@@ -66,13 +66,17 @@ BAD_CONFIGS = [
     ("", "HBBMC++", dict(bogus_key=1), "unknown config keys"),
     ("et_t=4", "HBBMC++", dict(et_t=4), "et_t must be"),
     ("et_t=-1", "HBBMC++", dict(et_t=-1), "et_t must be"),
+    ("et_t=True", "HBBMC++", dict(et_t=True), "et_t must be"),
+    ("d=True", "HBBMC++", dict(d=True), "d must be"),
+    ("d=1.5", "HBBMC++", dict(d=1.5), "d must be"),
+    ("d=str", "HBBMC++", dict(d="2"), "d must be"),
     ("edge_order", "RDegen", dict(edge_order="bogus"), "unknown edge order"),
     ("gr", "HBBMC++", dict(gr="no"), "gr must be"),
     ("vertex-d", "RDegen", dict(d=3), r"vertex framework does not read config keys \['d'\]"),
     ("vertex-edge_order", "RDegen", dict(edge_order="mdg"), r"vertex .*\['edge_order'\]"),
     ("hybrid-root", "HBBMC++", dict(root="global"), r"hybrid .*\['root'\]"),
-    ("edge-d-kernel", "HBBMC++", dict(framework="edge", kernel="rcd", d=4), r"\['d', 'kernel'\]"),
-    ("edge-root", "RDegen", dict(framework="edge"), r"edge .*\['root', 'kernel'\]"),
+    ("edge-d-kernel", "HBBMC++", dict(framework="edge", kernel="rcd", d=4), "unknown framework"),
+    ("edge-root", "RDegen", dict(framework="edge"), "unknown framework"),
 ]
 
 

@@ -1,5 +1,6 @@
-"""Integration fuzz of the frameworks: HBBMC (hybrid), EBBMC (edge), the
-named algorithm registry, parameter sweeps, and counter invariants."""
+"""Integration fuzz of the frameworks: HBBMC (hybrid), EBBMC (the hybrid
+with a depth no branch reaches), the named algorithm registry, parameter
+sweeps, and counter invariants."""
 import os
 import random
 import subprocess
@@ -23,6 +24,10 @@ from repro.graphs.generators import (
 )
 from repro.reference import reference_mce, verify_cliques
 from tests.test_reduction import tail_graph
+
+#: An edge-oriented depth no branch reaches: the hybrid then never hands a
+#: branch to the vertex kernel, which is pure EBBMC.
+EBBMC_D = 10**9
 
 GRAPHS = [
     ("er-sparse", lambda s: to_local(er_edges(40, 120, s), 40)),
@@ -52,7 +57,7 @@ def test_hbbmcpp_across_seeds(gname, make, seed):
     verify_cliques(g, run_named(g, "HBBMC++").cliques)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, EBBMC_D])
 @pytest.mark.parametrize("gname,make", GRAPHS)
 def test_depth_sweep(d, gname, make):
     g = make(1)
@@ -69,7 +74,7 @@ def test_et_threshold_sweep(t, gname, make):
 @pytest.mark.parametrize("gname,make", GRAPHS)
 def test_pure_ebbmc(gname, make):
     g = make(0)
-    r = run_mce(g, framework="edge", et_t=0, gr=False)
+    r = run_mce(g, framework="hybrid", d=EBBMC_D, et_t=0, gr=False)
     assert r.cliques == reference_mce(g)
 
 
@@ -94,8 +99,8 @@ def test_isolated_vertices_and_odd_cliques():
     g = to_local(er_edges(10, 12, 3), 15)  # vertices 10..14 isolated
     ref = reference_mce(g)
     assert any(len(c) == 1 for c in ref)
-    for fw in ("hybrid", "edge"):
-        r = run_mce(g, framework=fw, et_t=0, gr=False)
+    for d in (1, EBBMC_D):
+        r = run_mce(g, framework="hybrid", d=d, et_t=0, gr=False)
         assert r.cliques == ref
 
 
@@ -212,6 +217,7 @@ PINNED_COUNTERS = {
     ("VBBMC-dgn", None): (1601, 763, 379, 1325, 240, 0, 1325),
     ("HBBMC++", 2): (2245, 1052, 341, 1325, 1641, 0, 1325),
     ("HBBMC++", 3): (2033, 520, 284, 1325, 1641, 0, 1325),
+    ("HBBMC++", EBBMC_D): (1513, 0, 0, 1325, 1641, 0, 1325),
 }
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from repro.core.hbbmc import run_mce, run_named
 from repro.core.localgraph import LocalGraph
 from repro.reference import reference_mce
+from tests.test_hbbmc import EBBMC_D
 
 # A graph as a set of edges over up to 14 vertices (possibly disconnected,
 # possibly empty, isolated vertices included via the vertex range).
@@ -45,5 +46,5 @@ def test_depth_sweep_matches_reference(edges, d):
 @settings(max_examples=60, deadline=None)
 def test_pure_ebbmc_matches_reference(edges):
     g = build(edges)
-    r = run_mce(g, framework="edge", et_t=0, gr=False)
+    r = run_mce(g, framework="hybrid", d=EBBMC_D, et_t=0, gr=False)
     assert r.cliques == reference_mce(g)
