@@ -27,14 +27,15 @@ vertices to S, so a branch at depth ``d`` with a candidate left holds a
 clique of 2d + 1 vertices: with ``d > ω/2`` no branch reaches the kernel and
 the hybrid is pure EBBMC.
 
-The initial branch splits MCE into independent *root branches*: one per edge
-in rank order (hybrid; a maximal clique belongs to the branch of its
-rank-minimal edge), one per degeneracy-ordered vertex (vertex framework; the
-branch of its first vertex), or the single whole-graph branch (``root=
-"global"``). ``plan_roots`` computes the initial branch once and ``run_roots``
-runs any set of root branches in one sweep, so ``run_mce`` runs every root
-in process and ``repro.dist.mce`` runs each Spark task's group of roots with
-the same code.
+The initial branch splits MCE into independent *root branches* along one
+*root order*: one per edge in rank order (hybrid; a maximal clique belongs
+to the branch of its rank-minimal edge), one per vertex in degeneracy order
+(vertex framework; the branch of its first vertex), or the single
+whole-graph branch (``root="global"``). A root's id is its position in that
+order. ``plan_roots`` computes the initial branch once and ``run_roots``
+runs any set of root ids in one sweep of the order, for both root kinds, so
+``run_mce`` runs every root in process and ``repro.dist.mce`` runs each
+Spark task's group of roots with the same code.
 """
 from __future__ import annotations
 
@@ -146,19 +147,18 @@ class RootPlan:
     """The initial branch of one run, computed once by ``plan_roots``.
 
     Every maximal clique is either in ``cliques`` or found by exactly one
-    root branch of ``branches``, so any partition of the branches can run
-    anywhere (``run_roots``) and the cliques and counters simply add up.
-    Branch ids are edge ranks (hybrid), vertex ids (degeneracy root)
-    or 0 (global root).
+    root branch, so any partition of the branch ids can run anywhere
+    (``run_roots``) and the cliques and counters simply add up. A branch id
+    is the root's position in ``order``, or 0 for the global root.
     """
 
     config: MceConfig
     adj: dict[int, set[int]]  # the GR-reduced graph
     blocked: set[frozenset[int]]  # GR blocked sets (Enumerator.emit)
-    rank: dict[Pair, int] | None  # hybrid: rank of every edge
-    edges: list[Pair] | None  # hybrid: edges[r] has rank r
-    pos: dict[int, int] | None  # degeneracy root: vertex positions
-    branches: list[tuple[int, int]]  # (branch id, balance cost), run order
+    # The roots in sweep order: edges in rank order (hybrid), vertices in
+    # degeneracy order (degeneracy root), or None (global root).
+    order: list[Pair] | list[int] | None
+    costs: list[int]  # costs[i]: balance cost of branch i
     cliques: list[tuple[int, ...]]  # found while planning: GR + root Eq.(3)
     stats: BranchStats  # counters of the planning itself
 
@@ -178,20 +178,17 @@ def plan_roots(g: LocalGraph, cfg: MceConfig) -> RootPlan:
     adj = red.reduced.adj
     cliques = list(red.cliques)
     stats = BranchStats(gr_cliques=len(red.cliques))
-    rank = edges = pos = None
     if cfg.framework == "vertex":
         if cfg.root == "global":
-            branches = [(0, len(adj))]
+            order = None
+            costs = [len(adj)]
         else:
             dg = degeneracy_order(red.reduced)
-            pos = dg.pos
-            branches = [
-                (v, sum(1 for u in adj[v] if pos[u] > i)) for i, v in enumerate(dg.order)
-            ]
+            order = dg.order
+            costs = [sum(1 for u in adj[v] if dg.pos[u] > i) for i, v in enumerate(order)]
     else:
-        rank = edge_order_rank(red.reduced, cfg.edge_order)
-        edges = sorted(rank, key=rank.__getitem__)
-        branches = [(r, min(len(adj[u]), len(adj[v]))) for r, (u, v) in enumerate(edges)]
+        order = edge_order_rank(red.reduced, cfg.edge_order)
+        costs = [min(len(adj[u]), len(adj[v])) for u, v in order]
         # The initial edge-oriented branch is one call, and its Eq.(3)
         # branches are the isolated vertices (GR, when on, peels them all
         # first): each is a 1-clique.
@@ -199,15 +196,13 @@ def plan_roots(g: LocalGraph, cfg: MceConfig) -> RootPlan:
         isolated = [(v,) for v in sorted(adj) if not adj[v]]
         cliques += isolated
         stats.cliques = len(isolated)
-    stats.root_branches = len(branches)
+    stats.root_branches = len(costs)
     return RootPlan(
         config=cfg,
         adj=adj,
         blocked=red.blocked,
-        rank=rank,
-        edges=edges,
-        pos=pos,
-        branches=branches,
+        order=order,
+        costs=costs,
         cliques=cliques,
         stats=stats,
     )
@@ -216,8 +211,10 @@ def plan_roots(g: LocalGraph, cfg: MceConfig) -> RootPlan:
 def run_roots(enum: Enumerator, plan: RootPlan, branch_ids: Iterable[int]) -> None:
     """Run the root branches ``branch_ids`` (any subset of the plan's ids,
     in any order) of ``plan`` on ``enum`` (made by ``plan.enumerator``),
-    adding their cliques and counters to ``enum``. Raises Python's recursion
-    limit to what the plan's deepest branch can need."""
+    adding their cliques and counters to ``enum``. One sweep of
+    ``plan.order`` up to the largest wanted id serves edge and vertex roots
+    alike. Raises Python's recursion limit to what the plan's deepest branch
+    can need."""
     cfg = plan.config
     kernel = kernel_fn(enum, cfg.kernel)
     adj = plan.adj
@@ -231,33 +228,39 @@ def run_roots(enum: Enumerator, plan: RootPlan, branch_ids: Iterable[int]) -> No
     max_deg = max(map(len, adj.values()), default=0)
     needed = 3 * (max_deg + min(cfg.d, max_deg + 2) + 2) + max_deg + 1000
     sys.setrecursionlimit(max(sys.getrecursionlimit(), needed))
-    if plan.edges is None:
-        pos = plan.pos
-        for branch_id in branch_ids:
-            if pos is None:
-                kernel([], set(adj), set())
-            else:
-                i = pos[branch_id]
-                nbrs = adj[branch_id]
-                later = {u for u in nbrs if pos[u] > i}
-                kernel([branch_id], later, nbrs - later)
-        return
     wanted = set(branch_ids)
     if not wanted:
         return
-    # Sweep the edge order, deleting each edge once its rank is passed: at
-    # root r, rem holds exactly the edges ranked after r — the root's compat
-    # adjacency — and it does not change while the root runs. Every vertex
-    # is a candidate of the initial branch and none is excluded, so the
-    # root's X' is every other common neighbour of a and b.
+    if plan.order is None:
+        kernel([], set(adj), set())
+        return
+    # Only edge levels below d sort their compat edges by rank.
+    rank = {e: i for i, e in enumerate(plan.order)} if cfg.d > 1 else None
+    vertex_roots = cfg.framework == "vertex"
+    # Sweep the order, deleting each root once it is passed: at root i, rem
+    # holds exactly the graph of the roots after i, and it does not change
+    # while root i runs. Every vertex is a candidate of the initial branch
+    # and none is excluded, so a root's X is every other G-neighbour of its
+    # vertices that the root's C leaves out.
     rem = {v: set(nbrs) for v, nbrs in adj.items()}
-    for r, (a, b) in enumerate(plan.edges[: max(wanted) + 1]):
+    for i, root in enumerate(plan.order[: max(wanted) + 1]):
+        if vertex_roots:
+            # C = the later neighbours of v.
+            C = rem.pop(root)
+            for u in C:
+                rem[u].discard(root)
+            if i in wanted:
+                kernel([root], C, adj[root] - C)
+            continue
+        # C' = the common neighbours of a and b over edges ranked after
+        # (a, b): rem is the root's compat adjacency.
+        a, b = root
         rem_a, rem_b = rem[a], rem[b]
         rem_a.discard(b)
         rem_b.discard(a)
-        if r in wanted:
+        if i in wanted:
             C2 = rem_a & rem_b
-            _ebb(enum, [a, b], C2, (adj[a] & adj[b]) - C2, rem, plan.rank, 1, cfg.d, kernel)
+            _ebb(enum, [a, b], C2, (adj[a] & adj[b]) - C2, rem, rank, 1, cfg.d, kernel)
 
 
 def _ebb(
@@ -266,14 +269,15 @@ def _ebb(
     C: set[int],
     X: set[int],
     cadj: dict[int, set[int]],
-    rank: dict[Pair, int],
+    rank: dict[Pair, int] | None,
     depth: int,
     d: int,
     kernel,
 ) -> None:
     """Edge-oriented branch (S, C, X) with compat adjacency ``cadj`` (Eq. 2
     + Eq. 3), just built by its parent at ``depth``; switches to ``kernel``
-    once ``depth`` reaches ``d``."""
+    once ``depth`` reaches ``d``. ``rank`` (edge -> position in the root
+    order) is read only below ``d``."""
     adj = enum.adj
     # Prune dead branches at creation, without counting a call (the paper's
     # call counts on large graphs — fewer calls than edges — imply the
@@ -318,7 +322,7 @@ def _run(g: LocalGraph, cfg: MceConfig, collect: bool) -> MceRun:
     t0 = time.perf_counter()
     plan = plan_roots(g, cfg)
     enum = plan.enumerator(collect=collect)
-    run_roots(enum, plan, [branch_id for branch_id, _ in plan.branches])
+    run_roots(enum, plan, range(len(plan.costs)))
     enum.stats.merge(plan.stats)
     seconds = time.perf_counter() - t0
     cliques = sorted(enum.out + plan.cliques) if collect else None

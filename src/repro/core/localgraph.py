@@ -54,9 +54,6 @@ class LocalGraph:
     def vertices(self) -> list[int]:
         return sorted(self.adj)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each undirected edge once, as (min, max)."""
         for u, nbrs in self.adj.items():
@@ -66,12 +63,6 @@ class LocalGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj.get(u, ())
-
-    # -- derived graphs ---------------------------------------------------
-    def subgraph(self, vs: Iterable[int]) -> "LocalGraph":
-        """Vertex-induced subgraph (keeps isolated members of ``vs``)."""
-        keep = set(vs)
-        return LocalGraph({v: self.adj[v] & keep for v in keep})
 
     def density(self) -> float:
         """Edge density rho = m / n as defined in the paper (Section III-C)."""

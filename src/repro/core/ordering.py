@@ -33,11 +33,11 @@ class DegeneracyResult:
 
 
 def degeneracy_order(g: LocalGraph) -> DegeneracyResult:
-    """Bucket-queue min-degree peel, O(n + m). Ties break on vertex id so the
-    order (and everything downstream) is deterministic."""
+    """Min-degree peel over a lazy heap, O(m log n). Ties break on vertex id
+    so the order (and everything downstream) is deterministic."""
     deg = {v: len(nbrs) for v, nbrs in g.adj.items()}
-    # Buckets of vertices by current degree; sorted-set semantics emulated
-    # with lazy heap entries keyed (degree, vertex).
+    # Entries are keyed (degree, vertex); a degree drop pushes a new entry
+    # and leaves the old one stale.
     heap: list[tuple[int, int]] = [(d, v) for v, d in deg.items()]
     heapq.heapify(heap)
     removed: set[int] = set()
@@ -60,10 +60,9 @@ def degeneracy_order(g: LocalGraph) -> DegeneracyResult:
 
 @dataclass(frozen=True)
 class TrussResult:
-    """Truss peel output: the edge order, per-edge rank, and tau."""
+    """Truss peel output: the edge order and tau."""
 
     order: list[Pair]
-    rank: dict[Pair, int]
     tau: int
 
 
@@ -132,17 +131,16 @@ def truss_order(g: LocalGraph) -> TrussResult:
                     cur = sf
         au.discard(v)
         av.discard(u)
-    order = [divmod(e, span) for e in order_codes]
-    rank = {e: i for i, e in enumerate(order)}
-    return TrussResult(order=order, rank=rank, tau=tau)
+    return TrussResult(order=[divmod(e, span) for e in order_codes], tau=tau)
 
 
 #: Names of the paper's initial-branch edge orders (``edge_order_rank``).
 EDGE_ORDERS = ("truss", "dgn", "mdg")
 
 
-def edge_order_rank(g: LocalGraph, kind: str) -> dict[Pair, int]:
-    """Per-edge rank under one of the paper's initial-branch edge orders.
+def edge_order_rank(g: LocalGraph, kind: str) -> list[Pair]:
+    """The edges of ``g`` in rank order under one of the paper's
+    initial-branch edge orders.
 
     - ``"truss"``: the truss-based ordering (HBBMC++ default).
     - ``"dgn"``: edges ordered lexicographically by the degeneracy positions
@@ -157,15 +155,10 @@ def edge_order_rank(g: LocalGraph, kind: str) -> dict[Pair, int]:
     if kind not in EDGE_ORDERS:
         raise ValueError(f"unknown edge order {kind!r}; one of {list(EDGE_ORDERS)}")
     if kind == "truss":
-        return truss_order(g).rank
+        return truss_order(g).order
     if kind == "dgn":
         pos = degeneracy_order(g).pos
-        keyed = sorted(
+        return sorted(
             g.edges(), key=lambda e: (min(pos[e[0]], pos[e[1]]), max(pos[e[0]], pos[e[1]]), e)
         )
-    else:
-        keyed = sorted(
-            g.edges(),
-            key=lambda e: (min(len(g.adj[e[0]]), len(g.adj[e[1]])), e),
-        )
-    return {e: i for i, e in enumerate(keyed)}
+    return sorted(g.edges(), key=lambda e: (min(len(g.adj[e[0]]), len(g.adj[e[1]])), e))

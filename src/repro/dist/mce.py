@@ -5,21 +5,22 @@ Xu et al. [17]):
 
 1. The driver collects the (small) canonical edge list and calls
    ``repro.core.hbbmc.plan_roots``: graph reduction (GR), the exact ordering
-   peel (truss-based edge order for hybrid/edge frameworks, degeneracy order
-   for vertex frameworks), the root-branch list with balance costs, and the
+   peel (the edge order for the hybrid framework, the degeneracy order for
+   the vertex framework), the balance cost of each root branch, and the
    cliques the initial branch finds by itself (GR's and the isolated
    vertices).
-2. The driver deals the root branches round-robin, in descending order of
+2. The driver deals the root branch ids round-robin, in descending order of
    balance cost, into one group per task, so every task gets a balanced mix
    of heavy and light branches. There is one task per slot of the session
    (``defaultParallelism``) unless ``num_partitions`` says otherwise, and
    never more tasks than branches. The plan and the groups are broadcast
-   once.
+   once, and the broadcast is destroyed once the stage's result is
+   checkpointed and its counters collected.
 3. ``spark.range(n_tasks, numPartitions=n_tasks).mapInPandas`` runs task
    ``t`` over group ``t``: it calls ``repro.core.hbbmc.run_roots`` once on
-   the group's branches — the same executor the local runner calls once on
-   every branch; for edge frameworks it sweeps the edge order up to the
-   group's last branch — and emits one row per maximal clique
+   the group's branch ids — the same executor the local runner calls once on
+   every id; it sweeps the plan's root order (edges or vertices) up to the
+   group's largest id — and emits one row per maximal clique
    (``kind='clique'``, payload = comma-joined vertex ids) plus one counter
    row (``kind='stats'``, payload = JSON) — strings, so results stay
    orderable/joinable. No shuffle precedes this stage, so adaptive query
@@ -76,10 +77,11 @@ def mce_distributed(
     plan = plan_roots(to_local(edges), cfg)
 
     n_tasks = num_partitions or spark.sparkContext.defaultParallelism
-    n_tasks = max(1, min(n_tasks, len(plan.branches)))
+    costs = plan.costs
+    n_tasks = max(1, min(n_tasks, len(costs)))
     # Deal round-robin by descending balance cost.
-    ordered = sorted(plan.branches, key=lambda b: (-b[1], b[0]))
-    groups = [sorted(bid for bid, _ in ordered[t::n_tasks]) for t in range(n_tasks)]
+    ordered = sorted(range(len(costs)), key=lambda i: (-costs[i], i))
+    groups = [sorted(ordered[t::n_tasks]) for t in range(n_tasks)]
     bc = spark.sparkContext.broadcast((plan, groups))
 
     def run_tasks(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
@@ -97,14 +99,19 @@ def mce_distributed(
                     }
                 )
 
-    result = (
-        spark.range(n_tasks, numPartitions=n_tasks)
-        .mapInPandas(run_tasks, schema=_RESULT_SCHEMA)
-        .localCheckpoint(eager=True)
-    )
-    stats = plan.stats
-    for row in result.where(F.col("kind") == "stats").select("payload").collect():
-        stats.merge(BranchStats.from_dict(json.loads(row["payload"])))
+    # The checkpointed result no longer reads the broadcast, so its driver
+    # file is deleted as soon as the counters are in.
+    try:
+        result = (
+            spark.range(n_tasks, numPartitions=n_tasks)
+            .mapInPandas(run_tasks, schema=_RESULT_SCHEMA)
+            .localCheckpoint(eager=True)
+        )
+        stats = plan.stats
+        for row in result.where(F.col("kind") == "stats").select("payload").collect():
+            stats.merge(BranchStats.from_dict(json.loads(row["payload"])))
+    finally:
+        bc.destroy()
 
     worker_cliques = result.where(F.col("kind") == "clique").select(
         F.col("payload").alias("clique"), "size"

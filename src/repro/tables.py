@@ -163,15 +163,7 @@ def table1(names=None, scale: str = "bench") -> list[dict]:
     return rows
 
 
-def _alg_table(
-    algs: list[str],
-    paper: dict[str, tuple],
-    names,
-    scale,
-    mode,
-    spark,
-    overrides_per_alg=None,
-) -> list[dict]:
+def _alg_table(algs: list[str], paper: dict[str, tuple], names, scale, mode, spark) -> list[dict]:
     """Shared driver for Tables II, III and VI: run ``algs`` per dataset,
     check clique counts agree, report seconds/calls with paper seconds."""
     rows = []
@@ -180,8 +172,7 @@ def _alg_table(
         row: dict = {"dataset": name}
         counts = set()
         for i, alg in enumerate(algs):
-            ov = (overrides_per_alg or {}).get(alg, {})
-            r = run(g, edf, alg, **ov)
+            r = run(g, edf, alg)
             key = alg.lower().replace("+", "p").replace("-", "_")
             row[f"{key}_s"] = round(r.seconds, 4)
             row[f"{key}_calls"] = r.stats.calls

@@ -1,5 +1,7 @@
 """The distributed root-branch-partitioned MCE job emits exactly the local
 runner's clique set and counters, for every named algorithm."""
+import os
+
 import numpy as np
 import pytest
 
@@ -137,3 +139,16 @@ def test_distributed_partition_count_invariance(spark):
         res = mce_distributed(spark, edf, "HBBMC++", num_partitions=n)
         assert _dist_cliques(res) == _dist_cliques(ref), n
         assert res.stats.as_dict() == ref.stats.as_dict(), n
+
+
+def test_repeated_runs_leave_no_broadcast_files(spark, social_pair):
+    """Each run destroys its (plan, groups) broadcast, whose pickled driver
+    copy would otherwise stay in the context's temp dir until the session
+    stops."""
+    edf, _ = social_pair
+    temp_dir = spark.sparkContext._temp_dir
+    mce_distributed(spark, edf, "HBBMC++", num_partitions=2)
+    before = len(os.listdir(temp_dir))
+    for _ in range(3):
+        mce_distributed(spark, edf, "HBBMC++", num_partitions=2)
+    assert len(os.listdir(temp_dir)) == before
