@@ -10,53 +10,49 @@ cycles. Maximal cliques of g_C are exactly:
            inverse graph)
 
 where F is the set of inverse-isolated (universal) vertices — combined by
-cross product (lines 5-8 of Algorithm 8).
+cross product (lines 5-8 of Algorithm 8). The branch therefore has exactly
+prod(len(table) for each component) maximal cliques, which is what the
+kernels count when they do not collect cliques.
 
-This module is pure combinatorics on an explicit non-adjacency structure; the
-kernels (``repro.core.kernels``) are responsible for detecting the t-plex
-condition and building ``nonadj``.
+Cost follows output: ``inverse_components`` reads the inverse graph off the
+``C ∩ N(v)`` sets the kernel already has, the MIS index tables of a path or
+cycle are built once per length (``path_mis``/``cycle_mis`` are cached), and
+``enumerate_tplex`` builds each clique tuple once, with S merged in, and
+sorts it once. The kernels (``repro.core.kernels``) detect the t-plex
+condition and decide whether cliques are built, counted or filtered.
 """
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterator, Sequence
+from functools import cache
+from typing import Sequence
+
+#: An MIS index table: every maximal independent set of a path or cycle of
+#: some length, as sorted tuples of positions along it.
+MisTable = tuple[tuple[int, ...], ...]
 
 
-def path_mis(k: int) -> list[list[int]]:
+@cache
+def path_mis(k: int) -> MisTable:
     """All maximal independent sets of the path v_0 - v_1 - ... - v_{k-1},
-    as sorted index lists (paper's Algorithm 6, Enum_from_Path).
+    as sorted index tuples (paper's Algorithm 6, Enum_from_Path).
 
-    Every MIS starts at index 0 or 1, and consecutive chosen indices differ
-    by 2 (skip the forbidden neighbor) or 3 (skip one free vertex, which is
-    then blocked by both sides); the last chosen index must be >= k - 2.
+    An MIS either holds v_0 (then v_1 is out and the rest is an MIS of the
+    path v_2..v_{k-1}) or not (then v_1 must be in to block v_0, v_2 is out,
+    and the rest is an MIS of the path v_3..v_{k-1}).
     """
     if k <= 0:
-        return [[]]
+        return ((),)
     if k == 1:
-        return [[0]]
-    out: list[list[int]] = []
-
-    def rec(chosen: list[int]) -> None:
-        i = chosen[-1]
-        if i + 2 > k - 1:  # neither i+2 nor anything later exists -> maximal
-            out.append(chosen.copy())
-            return
-        chosen.append(i + 2)
-        rec(chosen)
-        chosen.pop()
-        if i + 3 <= k - 1:
-            chosen.append(i + 3)
-            rec(chosen)
-            chosen.pop()
-
-    rec([0])
-    rec([1])
-    return out
+        return ((0,),)
+    return tuple((0, *(i + 2 for i in mis)) for mis in path_mis(k - 2)) + tuple(
+        (1, *(i + 3 for i in mis)) for mis in path_mis(k - 3)
+    )
 
 
-def cycle_mis(k: int) -> list[list[int]]:
+@cache
+def cycle_mis(k: int) -> MisTable:
     """All maximal independent sets of the cycle v_0 - ... - v_{k-1} - v_0,
-    as sorted index lists (paper's Algorithm 7, Enum_from_Cycle).
+    as sorted index tuples (paper's Algorithm 7, Enum_from_Cycle).
 
     k in {3, 4} is hardcoded as in the paper; for k >= 5 the three cases
     each reduce to a path enumeration: v_0 chosen (v_1 and v_{k-1} are
@@ -67,88 +63,74 @@ def cycle_mis(k: int) -> list[list[int]]:
     if k < 3:
         raise ValueError("a simple cycle has at least 3 vertices")
     if k == 3:
-        return [[0], [1], [2]]
+        return ((0,), (1,), (2,))
     if k == 4:
-        return [[0, 2], [1, 3]]
+        return ((0, 2), (1, 3))
     return (
-        [[0] + [i + 2 for i in mis] for mis in path_mis(k - 3)]
-        + [[1] + [i + 3 for i in mis] for mis in path_mis(k - 3)]
-        + [[2] + [i + 4 for i in mis] + [k - 1] for mis in path_mis(k - 6)]
+        tuple((0, *(i + 2 for i in mis)) for mis in path_mis(k - 3))
+        + tuple((1, *(i + 3 for i in mis)) for mis in path_mis(k - 3))
+        + tuple((2, *(i + 4 for i in mis), k - 1) for mis in path_mis(k - 6))
     )
 
 
 def inverse_components(
-    vertices: Sequence[int], nonadj: dict[int, list[int]]
-) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Decompose the inverse graph (``nonadj``: vertex -> non-neighbors in
-    g_C, degree <= 2) into (isolated F, paths, cycles).
-
-    Paths are returned endpoint-to-endpoint; cycles in traversal order.
-    Raises ValueError if any inverse degree exceeds 2 (not a 3-plex).
-    """
+    C: set[int], nbr_in_c: dict[int, set[int]]
+) -> tuple[list[int], list[tuple[list[int], MisTable]]]:
+    """Decompose the inverse graph of the candidate graph on ``C``
+    (``nbr_in_c``: v -> C ∩ N(v)) into the isolated vertices F and its
+    path/cycle components, each as ``(vertices, table)``: the vertices in
+    walk order (paths endpoint to endpoint) and the component's MIS index
+    table. Raises ValueError if any inverse degree exceeds 2 (not a
+    3-plex)."""
+    top = len(C) - 1
     F: list[int] = []
-    paths: list[list[int]] = []
-    cycles: list[list[int]] = []
-    seen: set[int] = set()
-    for v in vertices:
-        if len(nonadj[v]) > 2:
-            raise ValueError("inverse graph has a vertex of degree > 2: not a <=3-plex")
-    for v in sorted(vertices):
-        if v in seen:
-            continue
-        if not nonadj[v]:
+    nonadj: dict[int, set[int]] = {}  # inverse neighbours, until walked
+    for v in C:
+        nb = nbr_in_c[v]
+        if len(nb) == top:
             F.append(v)
-            seen.add(v)
-            continue
-        if len(nonadj[v]) == 1:
-            # Path endpoint: walk to the other end.
-            comp = [v]
-            seen.add(v)
-            prev, cur = v, nonadj[v][0]
-            while True:
-                comp.append(cur)
-                seen.add(cur)
-                nxt = [w for w in nonadj[cur] if w != prev]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-            paths.append(comp)
-    # Remaining unseen vertices with inverse degree 2 lie on cycles.
-    for v in sorted(vertices):
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        prev, cur = v, min(nonadj[v])
-        while cur != v:
-            comp.append(cur)
-            seen.add(cur)
-            nxt = [w for w in nonadj[cur] if w != prev]
-            prev, cur = cur, nxt[0]
-        cycles.append(comp)
-    return F, paths, cycles
+        elif len(nb) < top - 2:
+            raise ValueError("inverse graph has a vertex of degree > 2: not a <=3-plex")
+        else:
+            inv = C - nb
+            inv.discard(v)
+            nonadj[v] = inv
+    comps: list[tuple[list[int], MisTable]] = []
+    # Walk each path from one end, then each cycle from any vertex; a walk
+    # pops the vertices it visits, so it goes on to the unvisited neighbour.
+    for v in [v for v, inv in nonadj.items() if len(inv) == 1]:
+        if v in nonadj:  # not the far end of a walked path
+            comp = _walk(v, nonadj)
+            comps.append((comp, path_mis(len(comp))))
+    while nonadj:
+        comp = _walk(next(iter(nonadj)), nonadj)
+        comps.append((comp, cycle_mis(len(comp))))
+    return F, comps
+
+
+def _walk(v: int, nonadj: dict[int, set[int]]) -> list[int]:
+    """The component of ``v`` in walk order, popped from ``nonadj``."""
+    comp = [v]
+    inv = nonadj.pop(v)
+    while True:
+        for w in inv:
+            if w in nonadj:
+                break
+        else:
+            return comp
+        comp.append(w)
+        inv = nonadj.pop(w)
 
 
 def enumerate_tplex(
-    vertices: Sequence[int], nonadj: dict[int, list[int]]
-) -> Iterator[list[int]]:
-    """Yield every maximal clique of a candidate graph whose inverse graph is
-    ``nonadj`` (max degree <= 2), as sorted vertex lists. Algorithm 8.
-
-    Output size is exactly prod(component choice counts), i.e. proportional
-    to the number of maximal cliques — the paper's "nearly optimal" bound.
-    """
-    F, paths, cycles = inverse_components(vertices, nonadj)
-    choice_lists: list[list[list[int]]] = []
-    for p in paths:
-        choice_lists.append([[p[i] for i in mis] for mis in path_mis(len(p))])
-    for c in cycles:
-        choice_lists.append([[c[i] for i in mis] for mis in cycle_mis(len(c))])
-    if not choice_lists:
-        yield sorted(F)
-        return
-    for combo in product(*choice_lists):
-        clique = list(F)
-        for part in combo:
-            clique.extend(part)
-        yield sorted(clique)
+    S: Sequence[int], F: Sequence[int], comps: list[tuple[list[int], MisTable]]
+) -> list[tuple[int, ...]]:
+    """Every maximal clique ``S ∪ F ∪ (one MIS per component)`` of a t-plex
+    branch (Algorithm 8), as sorted tuples; ``F`` and ``comps`` come from
+    ``inverse_components``. There are exactly prod(len(table)) of them, the
+    paper's "nearly optimal" output bound; each is built and sorted once."""
+    cliques = [(*S, *F)]
+    for verts, table in comps:
+        choices = [tuple([verts[i] for i in mis]) for mis in table]
+        cliques = [c + part for c in cliques for part in choices]
+    return [tuple(sorted(c)) for c in cliques]

@@ -45,12 +45,22 @@ set is the compat edges among C: a t-plex under it requires a t-plex under G
 restricted to C (necessary, cheap, uses the degree scan the pivot needs
 anyway) plus ghost-freedom of C (verified by a subset test per candidate
 only in the rare branches that pass the degree test).
+
+ET emission costs what it outputs (``repro.core.early_term``). Collecting,
+the branch's cliques come from ``enumerate_tplex`` as sorted tuples, S
+included, and are appended to ``out`` in one batch; counting
+(``collect=False``), the branch adds the product of its components' MIS
+counts and builds no clique. Either way ``stats.cliques`` grows by the
+batch size. The one exception: when |S| + |F| + #components <= 2 a clique
+can have two vertices or fewer and so be a GR-blocked set, and those
+branches go through ``emit`` one clique at a time in both modes.
 """
 from __future__ import annotations
 
+from math import prod
 from typing import Callable, Iterable
 
-from .early_term import enumerate_tplex
+from .early_term import enumerate_tplex, inverse_components
 from .stats import BranchStats
 
 Kernel = Callable[[list[int], set[int], set[int]], None]
@@ -155,9 +165,18 @@ class Enumerator:
         if not self._ghost_free(C, nbr_in_c):
             return False
         st.et_applied += 1
-        nonadj = {v: sorted(C - nbr_in_c[v] - {v}) for v in C}
-        for part in enumerate_tplex(sorted(C), nonadj):
-            self.emit(S + part)
+        F, comps = inverse_components(C, nbr_in_c)
+        out = self.out
+        if len(S) + len(F) + len(comps) <= 2:
+            # A clique of size <= 2 may be a GR-blocked set: emit filters it.
+            for clique in enumerate_tplex(S, F, comps):
+                self.emit(clique)
+        elif out is None:
+            st.cliques += prod(len(table) for _, table in comps)
+        else:
+            n = len(out)
+            out.extend(enumerate_tplex(S, F, comps))
+            st.cliques += len(out) - n
         return True
 
     # -- branching ---------------------------------------------------------

@@ -24,9 +24,13 @@ Xu et al. [17]):
    (``kind='clique'``, payload = comma-joined vertex ids) plus one counter
    row (``kind='stats'``, payload = JSON) — strings, so results stay
    orderable/joinable. No shuffle precedes this stage, so adaptive query
-   execution cannot coalesce the tasks into fewer partitions.
-4. The driver adds the plan's own cliques and counters, and returns a
-   clique DataFrame and the merged ``BranchStats``.
+   execution cannot coalesce the tasks into fewer partitions. The stage's
+   result is checkpointed lazily (``localCheckpoint(eager=False)``): the
+   one Spark job that collects the counter rows runs the stage and keeps
+   its output, so the kernels run once per call, in one job.
+4. The driver merges those counters with the plan's own and returns a
+   clique DataFrame (the checkpointed clique rows plus the plan's cliques)
+   and the merged ``BranchStats``.
 
 Every ``ALGORITHMS`` name runs through this path; ``tests/test_dist_mce.py``
 asserts that the distributed clique set and counters are identical to the
@@ -99,13 +103,15 @@ def mce_distributed(
                     }
                 )
 
-    # The checkpointed result no longer reads the broadcast, so its driver
-    # file is deleted as soon as the counters are in.
+    # The lazy checkpoint is taken by the job that collects the counters, so
+    # the kernel stage runs once, in that one job. The checkpointed result
+    # no longer reads the broadcast, so its driver file is deleted as soon
+    # as the counters are in.
     try:
         result = (
             spark.range(n_tasks, numPartitions=n_tasks)
             .mapInPandas(run_tasks, schema=_RESULT_SCHEMA)
-            .localCheckpoint(eager=True)
+            .localCheckpoint(eager=False)
         )
         stats = plan.stats
         for row in result.where(F.col("kind") == "stats").select("payload").collect():

@@ -103,8 +103,10 @@ PAPER_T6 = {  # HBBMC++, VBBMC-dgn, HBBMC-dgn, HBBMC-mdg
 def _runner(mode: str, spark) -> Callable[..., MceRun]:
     """Dispatch a (graph, algorithm, overrides) runner for the mode."""
     if mode == "local":
+        # The tables read only n_cliques, stats and seconds: count, do not
+        # build and sort every clique inside the timed run.
         def run(g, edges_df_, name, **ov):
-            return run_named(g, name, **ov)
+            return run_named(g, name, collect=False, **ov)
         return run
     if mode == "dist":
         if spark is None:

@@ -152,3 +152,19 @@ def test_repeated_runs_leave_no_broadcast_files(spark, social_pair):
     for _ in range(3):
         mce_distributed(spark, edf, "HBBMC++", num_partitions=2)
     assert len(os.listdir(temp_dir)) == before
+
+
+def test_one_kernel_job_per_run(spark, social_pair):
+    """One call runs two Spark jobs: the edge collect, and the kernel stage,
+    whose lazy checkpoint the counters' collect takes in the same job."""
+    edf, g = social_pair
+    edf.count()  # the edge cache is in place, so its collect is one job
+    sc = spark.sparkContext
+    group = "test_one_kernel_job_per_run"
+    sc.setJobGroup(group, group)
+    try:
+        res = mce_distributed(spark, edf, "HBBMC++", num_partitions=2)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) == 2
+    assert _dist_cliques(res) == run_named(g, "HBBMC++").cliques

@@ -11,9 +11,11 @@ import pytest
 
 import repro
 from repro.core.hbbmc import ALGORITHMS, plan_roots, resolve_config, run_mce, run_named, run_roots
+from repro.core.kernels import Enumerator
+from repro.core.localgraph import LocalGraph
 from repro.core.ordering import EDGE_ORDERS, truss_order
 from repro.core.stats import BranchStats
-from repro.graphs.datasets import load_local
+from repro.graphs.datasets import DATASET_NAMES, load_local
 from repro.graphs.generators import (
     ba_edges,
     caveman_edges,
@@ -175,6 +177,53 @@ def test_collect_false_counts_only():
     r = run_named(g, "HBBMC++", collect=False)
     assert r.cliques is None
     assert r.n_cliques == len(reference_mce(g))
+
+
+#: Every name with each ET threshold, for the count-mode parity checks.
+ET_CONFIGS = [(name, t) for name in sorted(ALGORITHMS) for t in (1, 2, 3)]
+
+
+def _assert_count_mode_matches(g):
+    for name, t in ET_CONFIGS:
+        full = run_named(g, name, et_t=t)
+        count = run_named(g, name, collect=False, et_t=t)
+        assert count.n_cliques == full.n_cliques == len(full.cliques), (name, t)
+        assert count.stats.as_dict() == full.stats.as_dict(), (name, t)
+
+
+@pytest.mark.parametrize("dataset", DATASET_NAMES + ["tail"])
+def test_count_mode_matches_collect_mode(dataset):
+    """ET counts its cliques as a product of per-component MIS counts when
+    they are not collected; the count and every counter must equal the
+    collecting run's."""
+    g = tail_graph() if dataset == "tail" else load_local(dataset, "test")
+    _assert_count_mode_matches(g)
+
+
+def test_count_mode_filters_gr_blocked_et_cliques():
+    """K6 minus the 6-cycle 0-1-2-3-4-5, plus one degree-2 vertex on each
+    of its 2-cliques {0,3}, {1,4}, {2,5}. GR emits the three triangles and
+    blocks those pairs. In the core, each vertex branch S = [v] with empty
+    X is a 3-plex whose ET output includes {v, v+3}, and every run that
+    reaches ET must drop that blocked pair in both modes."""
+    hexagon = [(i, j) for i in range(6) for j in range(i + 1, 6) if (j - i) % 6 not in (1, 5)]
+    ears = [(u, a) for u, pair in zip((6, 7, 8), ((0, 3), (1, 4), (2, 5))) for a in pair]
+    g = LocalGraph.from_edges(hexagon + ears)
+    assert run_named(g, "VBBMC-dgn").cliques == reference_mce(g)
+    assert reference_mce(g) == [(0, 2, 4), (0, 3, 6), (1, 3, 5), (1, 4, 7), (2, 5, 8)]
+    _assert_count_mode_matches(g)
+
+
+def test_count_mode_filters_blocked_pair_of_vertex_root():
+    """Vertex root S = [v] with C two non-adjacent vertices: ET emits two
+    2-cliques, one of them GR-blocked, so each mode counts one clique."""
+    adj = {0: {1, 2}, 1: {0}, 2: {0}}
+    for collect in (True, False):
+        enum = Enumerator(adj, et_t=3, blocked={frozenset((0, 1))}, collect=collect)
+        enum.vbb_tomita([0], {1, 2}, set())
+        assert enum.stats.et_applied == 1
+        assert enum.stats.cliques == 1
+        assert enum.out == ([(0, 2)] if collect else None)
 
 
 def test_branch_bound_tau_respected():
