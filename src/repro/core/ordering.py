@@ -1,22 +1,28 @@
-"""Exact local peeling orders: degeneracy (vertex) and truss (edge).
+"""Local peeling orders: degeneracy (vertex) and truss (edge).
 
-These are the *exact* greedy peels the paper's bounds rely on:
+These are the peels the paper's bounds rely on:
 
 - Degeneracy ordering: repeatedly remove a minimum-degree vertex. The largest
   degree seen at removal time is the degeneracy ``delta``; every vertex has at
   most ``delta`` later neighbors.
-- Truss-based edge ordering (Wang et al. [19]): repeatedly remove the edge
-  whose endpoints have the fewest common neighbors in the *remaining* graph.
-  The largest support seen at removal time is ``tau`` (< delta); in HBBMC the
+- Truss-based edge ordering (Wang et al. [19]): peel edges by the number of
+  triangles they still close (their support), level by level. Here the peel
+  is round-synchronous and runs in numpy: at level k one round removes every
+  live edge with support <= k, in (u, v) order. Every edge's support when its
+  round starts is at most k, so the largest level reached is ``tau`` (<
+  delta), the truss number minus 2, the same value the greedy min-support
+  peel (``repro.reference.greedy_truss_order``) reports; in HBBMC the
   candidate graph of every root edge branch has at most ``tau`` vertices.
 
-Only the exact orders carry these bounds, so both peels run sequentially: in
-process, or on the driver for a Spark run.
+Both peels run in one process: in process, or on the driver for a Spark run.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .localgraph import LocalGraph
 
@@ -66,72 +72,127 @@ class TrussResult:
     tau: int
 
 
-def truss_order(g: LocalGraph) -> TrussResult:
-    """Greedy min-support edge peel, O(m * delta + m log m): the support
-    counts and the per-edge common-neighbour scans are O(m * delta), the
-    initial sort O(m log m), and the bucket queue adds O(1) amortised per
-    pop and per support decrement (each of the at most 2 * #triangles stale
-    entries is skipped once).
+def _edge_arrays(g: LocalGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``g``'s vertex ids in sorted order, each vertex's degree, and the
+    endpoints of every edge as dense indices into those ids, ``eu < ev``,
+    sorted by (eu, ev). Indices follow id order, so (eu, ev) order is (u, v)
+    order, and no array is sized by the largest id."""
+    verts = sorted(g.adj)
+    n = len(verts)
+    ids = np.array(verts, dtype=np.int64)
+    nbrs = [g.adj[v] for v in verts]
+    deg = np.fromiter(map(len, nbrs), dtype=np.int64, count=n)
+    flat = np.fromiter(chain.from_iterable(nbrs), dtype=np.int64, count=int(deg.sum()))
+    src = np.repeat(np.arange(n), deg)
+    dst = np.searchsorted(ids, flat)
+    keep = src < dst
+    eu, ev = np.divmod(np.sort(src[keep] * n + dst[keep]), n)
+    return ids, deg, eu, ev
 
-    ``support(e)`` = number of common neighbors of e's endpoints in the graph
-    induced by the not-yet-peeled edges. Ties break on the (u, v) pair so the
-    ordering is deterministic. ``tau`` is the largest support seen at
-    removal time.
+
+def _triangles(deg: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Every triangle once, as a row of its three edge ids (positions in
+    ``eu``/``ev``). Each edge is oriented from its lower to its higher
+    (degree, index) endpoint, and the triangles over edge (a, b) are the
+    common out-neighbours of a and b: a C-level intersection of two sets of
+    at most sqrt(2m) vertices each."""
+    n = len(deg)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((np.arange(n), deg))] = np.arange(n)
+    flip = rank[eu] > rank[ev]
+    lo = np.where(flip, ev, eu)
+    hi = np.where(flip, eu, ev)
+    by_lo = np.argsort(lo, kind="stable")
+    heads = hi[by_lo].tolist()
+    ptr = np.searchsorted(lo[by_lo], np.arange(n + 1)).tolist()
+    out = [set(heads[ptr[i] : ptr[i + 1]]) for i in range(n)]
+    counts: list[int] = []
+    third: list[int] = []
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        c = out[a] & out[b]
+        counts.append(len(c))
+        third.extend(c)
+    w = np.array(third, dtype=np.int64)
+    a = np.repeat(lo, counts)
+    b = np.repeat(hi, counts)
+    key = eu * n + ev
+    e_aw = np.searchsorted(key, np.minimum(a, w) * n + np.maximum(a, w))
+    e_bw = np.searchsorted(key, np.minimum(b, w) * n + np.maximum(b, w))
+    return np.stack((np.repeat(np.arange(len(eu)), counts), e_aw, e_bw), axis=1)
+
+
+def _gather(ptr: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The concatenated CSR segments ``values[ptr[r] : ptr[r + 1]]`` of
+    ``rows``."""
+    starts = ptr[rows]
+    lens = ptr[rows + 1] - starts
+    shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return values[shift + np.arange(len(shift))]
+
+
+def truss_order(g: LocalGraph) -> TrussResult:
+    """Round-synchronous support peel (PKT, Kabir & Madduri, HPEC 2017; after
+    Wang & Cheng, PVLDB 2012).
+
+    ``support(e)`` = number of triangles through e whose three edges are all
+    still live. Supports start from one listing of every triangle
+    (``np.bincount``). The peel keeps a level k, starting at the smallest
+    support. Each round removes every live edge whose support is <= k and
+    emits those edges in (u, v) order, then lowers by one
+    (``np.subtract.at``) the support of each surviving edge of each triangle
+    the round broke. k rises, to the smallest live support, only when no live
+    edge is left at or below it. ``tau`` is the last level.
+
+    Why tau holds: an edge's support when its round starts is <= k <= tau,
+    and every edge that closes a triangle with it and is ranked after it was
+    live then, so each root edge branch has at most tau candidates. tau is the
+    largest k for which some subgraph gives every edge >= k triangles (the
+    truss number minus 2), the same number the greedy min-support peel
+    reports. Ties: within a round, edges go in (u, v) order, which keeps each
+    vertex's edges together; the order depends only on the edge set.
+
+    Cost: the triangle listing does one C-level set intersection per edge,
+    O(m * sqrt(m)) at worst; sorting the T triangle-edge incidences costs
+    O(T log T); each round's numpy work is proportional to the triangles it
+    breaks, and each level adds one O(m) scan (at most tau + 1 levels).
+    Vertices are mapped to dense indices in id order first, so huge or
+    sparse ids cost nothing extra.
     """
-    adj = {v: set(nbrs) for v, nbrs in g.adj.items()}
-    # Integer-encode edges (u * span + v, u < v) so the hot peel loop hashes
-    # ints, not tuples.
-    span = (max(adj) + 1) if adj else 1
-    sup: dict[int, int] = {}
-    for u, v in g.edges():
-        sup[u * span + v] = len(adj[u] & adj[v])
-    # Bucket queue over support values: each bucket is a list read from a
-    # head index. An edge whose support drops is appended to its new bucket
-    # and its old entry goes stale (skipped on pop: ``sup`` no longer names
-    # that bucket; a peeled edge's ``sup`` is -1). Supports only fall, so a
-    # list holds each edge at most once, and the live entries leave each
-    # bucket FIFO in the order they entered (sorted at the start), which
-    # makes the order deterministic.
-    max_s = max(sup.values(), default=0)
-    buckets: list[list[int]] = [[] for _ in range(max_s + 1)]
-    for e in sorted(sup):
-        buckets[sup[e]].append(e)
-    heads = [0] * (max_s + 1)
-    order_codes: list[int] = []
-    tau = 0
-    cur = 0
-    m = len(sup)
-    while len(order_codes) < m:
-        bucket = buckets[cur]
-        h = heads[cur]
-        while h < len(bucket) and sup[bucket[h]] != cur:
-            h += 1
-        if h == len(bucket):
-            heads[cur] = h
-            cur += 1
-            continue
-        e = bucket[h]
-        heads[cur] = h + 1
-        sup[e] = -1
-        u, v = divmod(e, span)
-        order_codes.append(e)
-        if cur > tau:
-            tau = cur
-        # Peel e: every remaining triangle (u, v, w) loses it, so the
-        # supports of (u, w) and (v, w) each drop by one.
-        au, av = adj[u], adj[v]
-        for w in au & av:
-            f1 = u * span + w if u < w else w * span + u
-            f2 = v * span + w if v < w else w * span + v
-            for f in (f1, f2):
-                sf = sup[f] - 1
-                sup[f] = sf
-                buckets[sf].append(f)
-                if sf < cur:
-                    cur = sf
-        au.discard(v)
-        av.discard(u)
-    return TrussResult(order=[divmod(e, span) for e in order_codes], tau=tau)
+    ids, deg, eu, ev = _edge_arrays(g)
+    m = len(eu)
+    tri = _triangles(deg, eu, ev)
+    flat = tri.ravel()
+    sup = np.bincount(flat, minlength=m)
+    # Edge -> triangles CSR: the triangles through edge e are
+    # edge_tris[eptr[e] : eptr[e + 1]].
+    edge_tris = np.argsort(flat, kind="stable") // 3
+    eptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(sup, out=eptr[1:])
+    alive = np.ones(m, dtype=bool)
+    tri_live = np.ones(len(tri), dtype=bool)
+    rounds: list[np.ndarray] = []
+    k = 0
+    left = m
+    frontier = np.empty(0, dtype=np.int64)
+    while left:
+        if not frontier.size:
+            # Every live support is above k: raise k to the smallest.
+            live = np.flatnonzero(alive)
+            k = int(sup[live].min())
+            frontier = live[sup[live] == k]
+        rounds.append(frontier)
+        alive[frontier] = False
+        left -= len(frontier)
+        broken = _gather(eptr, frontier, edge_tris)
+        broken = np.unique(broken[tri_live[broken]])
+        tri_live[broken] = False
+        hit = tri[broken].ravel()
+        hit = hit[alive[hit]]
+        np.subtract.at(sup, hit, 1)
+        hit = np.unique(hit)
+        frontier = hit[sup[hit] <= k]
+    order = np.concatenate(rounds) if rounds else np.empty(0, dtype=np.int64)
+    return TrussResult(order=list(zip(ids[eu[order]].tolist(), ids[ev[order]].tolist())), tau=k)
 
 
 #: Names of the paper's initial-branch edge orders (``edge_order_rank``).

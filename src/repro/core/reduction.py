@@ -32,9 +32,10 @@ removed w still has all of N(w) ∩ core when it goes, so the core part of
 The survivors' sets are built once, at the end: each is a copy of its
 ``g.adj`` set with the removed neighbours discarded one at a time. A
 discard never resizes a set, so each copy keeps the hash-table layout, and
-so the iteration order, of a fresh copy of the input set. A bulk set
-difference may resize the table and reorder it, and the truss peel breaks
-ties in that order, so the edge ranks and ``#calls`` would move.
+so the iteration order, of a fresh copy of the input set. Nothing
+downstream reads that order: the truss peel, the degeneracy peel and the
+kernels break ties on vertex ids, so the plan and ``#calls`` depend only on
+the graph.
 """
 from __future__ import annotations
 

@@ -1,15 +1,19 @@
-"""Trusted reference for maximal clique enumeration, used only by tests.
+"""Trusted references, used only by tests.
 
 ``reference_mce`` is the plain Bron–Kerbosch recursion (no pivot, no
 orderings, no reductions) — small enough to audit by eye. It is itself
 validated against ``brute_force_mce`` (subset enumeration) on tiny graphs,
 and every production algorithm is fuzzed against it.
+
+``greedy_truss_order`` is the sequential min-support edge peel, the oracle
+for the truss number tau that ``core.ordering.truss_order`` must report.
 """
 from __future__ import annotations
 
 from itertools import combinations
 
 from .core.localgraph import LocalGraph
+from .core.ordering import TrussResult
 
 
 def reference_mce(g: LocalGraph) -> list[tuple[int, ...]]:
@@ -73,3 +77,71 @@ def verify_cliques(g: LocalGraph, cliques: list[tuple[int, ...]]) -> None:
     extra = seen - expected
     assert not missing, f"missing cliques, e.g. {sorted(next(iter(missing)))}"
     assert not extra, f"extra cliques, e.g. {sorted(next(iter(extra)))}"
+
+
+def greedy_truss_order(g: LocalGraph) -> TrussResult:
+    """Greedy min-support edge peel, O(m * delta + m log m): the support
+    counts and the per-edge common-neighbour scans are O(m * delta), the
+    initial sort O(m log m), and the bucket queue adds O(1) amortised per
+    pop and per support decrement (each of the at most 2 * #triangles stale
+    entries is skipped once).
+
+    ``support(e)`` = number of common neighbors of e's endpoints in the graph
+    induced by the not-yet-peeled edges. Each step removes an edge of least
+    support; ``tau`` is the largest support seen at removal time. Among
+    edges whose support fell, ties follow the iteration order of
+    ``adj[u] & adj[v]``, so the order (not tau) depends on how the sets were
+    built.
+    """
+    adj = {v: set(nbrs) for v, nbrs in g.adj.items()}
+    # Integer-encode edges (u * span + v, u < v) so the hot peel loop hashes
+    # ints, not tuples.
+    span = (max(adj) + 1) if adj else 1
+    sup: dict[int, int] = {}
+    for u, v in g.edges():
+        sup[u * span + v] = len(adj[u] & adj[v])
+    # Bucket queue over support values: each bucket is a list read from a
+    # head index. An edge whose support drops is appended to its new bucket
+    # and its old entry goes stale (skipped on pop: ``sup`` no longer names
+    # that bucket; a peeled edge's ``sup`` is -1). Supports only fall, so a
+    # list holds each edge at most once.
+    max_s = max(sup.values(), default=0)
+    buckets: list[list[int]] = [[] for _ in range(max_s + 1)]
+    for e in sorted(sup):
+        buckets[sup[e]].append(e)
+    heads = [0] * (max_s + 1)
+    order_codes: list[int] = []
+    tau = 0
+    cur = 0
+    m = len(sup)
+    while len(order_codes) < m:
+        bucket = buckets[cur]
+        h = heads[cur]
+        while h < len(bucket) and sup[bucket[h]] != cur:
+            h += 1
+        if h == len(bucket):
+            heads[cur] = h
+            cur += 1
+            continue
+        e = bucket[h]
+        heads[cur] = h + 1
+        sup[e] = -1
+        u, v = divmod(e, span)
+        order_codes.append(e)
+        if cur > tau:
+            tau = cur
+        # Peel e: every remaining triangle (u, v, w) loses it, so the
+        # supports of (u, w) and (v, w) each drop by one.
+        au, av = adj[u], adj[v]
+        for w in au & av:
+            f1 = u * span + w if u < w else w * span + u
+            f2 = v * span + w if v < w else w * span + v
+            for f in (f1, f2):
+                sf = sup[f] - 1
+                sup[f] = sf
+                buckets[sf].append(f)
+                if sf < cur:
+                    cur = sf
+        au.discard(v)
+        av.discard(u)
+    return TrussResult(order=[divmod(e, span) for e in order_codes], tau=tau)

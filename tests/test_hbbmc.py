@@ -248,27 +248,29 @@ def test_seconds_recorded():
 
 
 #: (calls, et_plex, et_applied, cliques, root_branches, gr_cliques, n_cliques)
-#: on the OR test-scale surrogate, recorded by running the commit before
-#: run_roots replaced the per-pair rank test with the edge-order sweep. A
-#: speed-up must not move them: #calls is the machine-independent control.
+#: on the OR test-scale surrogate. Re-recorded when the truss peel became
+#: round-synchronous: that moved the truss order and so the counters of the
+#: seven truss-ordered runs, and nothing else (the cliques and root branches
+#: stayed). A speed-up must not move them: #calls is the machine-independent
+#: control.
 PINNED_COUNTERS = {
-    ("Fac++", None): (2902, 1922, 551, 1325, 1641, 0, 1325),
-    ("HBBMC+", None): (3306, 0, 0, 1325, 1641, 0, 1325),
-    ("HBBMC++", None): (2522, 1562, 554, 1325, 1641, 0, 1325),
+    ("Fac++", None): (2536, 1608, 514, 1325, 1641, 0, 1325),
+    ("HBBMC+", None): (2960, 0, 0, 1325, 1641, 0, 1325),
+    ("HBBMC++", None): (2083, 1180, 491, 1325, 1641, 0, 1325),
     ("HBBMC-dgn", None): (2406, 1408, 463, 1325, 1641, 0, 1325),
     ("HBBMC-mdg", None): (1827, 821, 351, 1325, 1641, 0, 1325),
     ("RDegen", None): (2542, 0, 0, 1325, 240, 0, 1325),
     ("RFac", None): (2961, 0, 0, 1325, 240, 0, 1325),
     ("RRcd", None): (1540, 0, 0, 1325, 240, 0, 1325),
     ("RRef", None): (2407, 0, 0, 1325, 1, 0, 1325),
-    ("Rcd++", None): (1896, 1330, 293, 1325, 1641, 0, 1325),
-    ("Ref++", None): (2522, 1562, 554, 1325, 1641, 0, 1325),
+    ("Rcd++", None): (1830, 1421, 287, 1325, 1641, 0, 1325),
+    ("Ref++", None): (2083, 1180, 491, 1325, 1641, 0, 1325),
     ("VBBMC-dgn", None): (1601, 763, 379, 1325, 240, 0, 1325),
-    ("HBBMC++", 2): (2245, 1052, 341, 1325, 1641, 0, 1325),
+    ("HBBMC++", 2): (1524, 532, 253, 1325, 1641, 0, 1325),
     ("HBBMC-dgn", 2): (2233, 1112, 314, 1325, 1641, 0, 1325),
     ("HBBMC-mdg", 2): (1267, 468, 215, 1325, 1641, 0, 1325),
-    ("HBBMC++", 3): (2033, 520, 284, 1325, 1641, 0, 1325),
-    ("HBBMC++", EBBMC_D): (1513, 0, 0, 1325, 1641, 0, 1325),
+    ("HBBMC++", 3): (1632, 320, 320, 1325, 1641, 0, 1325),
+    ("HBBMC++", EBBMC_D): (1312, 0, 0, 1325, 1641, 0, 1325),
 }
 
 
@@ -285,20 +287,20 @@ def test_counters_pinned():
 #: (calls, et_plex, et_applied, cliques, root_branches, gr_cliques, n_cliques)
 #: on ``tail_graph()``, where GR removes 2,924 of 3,096 vertices and emits
 #: 4,338 of the 4,732 cliques (GR removes nothing on the surrogates, so
-#: ``test_counters_pinned`` never exercises it). Recorded by running the
-#: commit before GR became a worklist peel over the caller's graph.
+#: ``test_counters_pinned`` never exercises it). Re-recorded, like
+#: ``PINNED_COUNTERS``, when the truss peel became round-synchronous.
 PINNED_COUNTERS_GR_HEAVY = {
-    "Fac++": (920, 718, 114, 394, 704, 4338, 4732),
-    "HBBMC+": (1150, 0, 0, 394, 704, 4338, 4732),
-    "HBBMC++": (811, 609, 147, 394, 704, 4338, 4732),
+    "Fac++": (568, 432, 108, 394, 704, 4338, 4732),
+    "HBBMC+": (864, 0, 0, 394, 704, 4338, 4732),
+    "HBBMC++": (379, 243, 108, 394, 704, 4338, 4732),
     "HBBMC-dgn": (808, 608, 123, 394, 704, 4338, 4732),
     "HBBMC-mdg": (273, 162, 79, 394, 704, 4338, 4732),
     "RDegen": (955, 0, 0, 394, 172, 4338, 4732),
     "RFac": (1071, 0, 0, 394, 172, 4338, 4732),
     "RRcd": (474, 0, 0, 394, 172, 4338, 4732),
     "RRef": (851, 0, 0, 394, 1, 4338, 4732),
-    "Rcd++": (475, 345, 50, 394, 704, 4338, 4732),
-    "Ref++": (811, 609, 147, 394, 704, 4338, 4732),
+    "Rcd++": (367, 327, 52, 394, 704, 4338, 4732),
+    "Ref++": (379, 243, 108, 394, 704, 4338, 4732),
     "VBBMC-dgn": (452, 345, 80, 394, 172, 4338, 4732),
 }
 

@@ -1,12 +1,14 @@
-"""Tests for the exact local peels: degeneracy and truss orderings."""
+"""Tests for the local peels: degeneracy and truss orderings."""
 import hashlib
+import random
 
 import pytest
 
 from repro.core.localgraph import LocalGraph
-from repro.core.ordering import degeneracy_order, edge_order_rank, truss_order
+from repro.core.ordering import TrussResult, degeneracy_order, edge_order_rank, truss_order
 from repro.graphs.datasets import DATASET_NAMES, load_local
 from repro.graphs.generators import ba_edges, caveman_edges, er_edges, to_local
+from repro.reference import greedy_truss_order
 from tests.test_reduction import tail_graph
 
 
@@ -87,7 +89,7 @@ def test_truss_greedy_min_support_invariant(seed):
     """Replaying the order must show each peeled edge had the (bucket-)
     minimum support among remaining edges at its turn."""
     g = to_local(er_edges(30, 140, seed), 30)
-    r = truss_order(g)
+    r = greedy_truss_order(g)
     adj = {v: set(ns) for v, ns in g.adj.items()}
     remaining_sup = {}
     for u, v in g.edges():
@@ -104,44 +106,83 @@ def test_truss_greedy_min_support_invariant(seed):
         del remaining_sup[e]
 
 
+def replay_levels(g, order):
+    """Peel ``order`` one edge at a time, returning for each step the edge's
+    support at removal and the largest minimum live support seen so far."""
+    adj = {v: set(ns) for v, ns in g.adj.items()}
+    sup = {(u, v): len(adj[u] & adj[v]) for u, v in g.edges()}
+    steps, level = [], 0
+    for u, v in order:
+        level = max(level, min(sup.values()))
+        steps.append((sup.pop((u, v)), level))
+        for w in adj[u] & adj[v]:
+            sup[(u, w) if u < w else (w, u)] -= 1
+            sup[(v, w) if v < w else (w, v)] -= 1
+        adj[u].discard(v)
+        adj[v].discard(u)
+    return steps
+
+
+TAU_GRAPHS = [
+    *[pytest.param(lambda s=s: to_local(er_edges(30, 140, s), 30), id=f"er30-{s}") for s in range(3)],
+    *[pytest.param(lambda s=s: to_local(er_edges(50, 300, s), 50), id=f"er50-{s}") for s in range(4)],
+    *[pytest.param(lambda s=s: to_local(ba_edges(100, 4, s), 100), id=f"ba100-{s}") for s in range(5)],
+    *[pytest.param(lambda name=name: load_local(name, "test"), id=name) for name in DATASET_NAMES],
+]
+
+
+@pytest.mark.parametrize("make", TAU_GRAPHS)
+def test_truss_levels_bound_support_and_tau_matches_greedy(make):
+    """Replaying the round-synchronous order, each edge's support at removal
+    is at most the largest minimum live support seen up to that step, and
+    that level ends at tau: the greedy peel's tau."""
+    g = make()
+    r = truss_order(g)
+    steps = replay_levels(g, r.order)
+    assert all(s <= level for s, level in steps)
+    assert r.tau == max((level for _, level in steps), default=0)
+    assert r.tau == greedy_truss_order(g).tau
+
+
 #: (SHA-1 of ``repr(truss_order(g).order)``, tau) for each surrogate at both
 #: scales and for the unreduced ``tail_graph()``, recorded by running the
-#: commit whose bucket queue was a dict per support value. The order is the
-#: input of every edge-oriented run, so a faster peel must not move it.
+#: commit that made the peel round-synchronous. That commit changed every
+#: order (tau stayed the same everywhere); the order is the input of every
+#: edge-oriented run, so a faster peel must not move it.
 PINNED_TRUSS = {
-    ("NA", "test"): ("4fc71d9e571662b22f508aa44ca31770560e5699", 6),
-    ("NA", "bench"): ("1120ea20f86eabee297c869d959b187172dd615e", 10),
-    ("FB", "test"): ("733f7a2dcf01c097d3adebe67556adc7d3548359", 8),
-    ("FB", "bench"): ("1895a32012f5ce2c33a6a691b54a87fcc03b708b", 16),
-    ("WE", "test"): ("f618e94635a35c2d51348496608efe1f8f7a720f", 6),
-    ("WE", "bench"): ("6ec4717e67ba2f774c1412032a8b4ab3f7371ea0", 14),
-    ("WK", "test"): ("f0cd351395a80499440d9603cf4e033dbd649484", 6),
-    ("WK", "bench"): ("4f3ca3c18a8b7d929127a3d0e18b331a05e40fd7", 14),
-    ("SH", "test"): ("8078bf7992523c1542e0e6d3d099f6af996adad9", 5),
-    ("SH", "bench"): ("e407e0e5e89d88a09433a65cbba3098624f7917a", 12),
-    ("ST", "test"): ("81ea2ccb34094e138a395e748cd461c4af3c4a00", 7),
-    ("ST", "bench"): ("9b9915aeaeac1c92372359e429e62196424bdb00", 16),
-    ("DB", "test"): ("4da90fb0e2792851e77d4ffbca13f6e83292d7fe", 3),
-    ("DB", "bench"): ("41829a2dbde6f663666458b7f58567a98a0aaf1e", 10),
-    ("DE", "test"): ("a93721e05920037865958c01450b0ff7c64bb080", 8),
-    ("DE", "bench"): ("401b4daef6b7a0df6c74cc10f4c0a682f70569b2", 12),
-    ("DG", "test"): ("9d8b5401064dec253cd847131f858df4681cd1b2", 10),
-    ("DG", "bench"): ("8012778c67b3e4e9a4a7331357860f5ce277ad6a", 20),
-    ("YO", "test"): ("fe527b246ba2dca9e2c20e2dd8c4b74e8e5cb07c", 6),
-    ("YO", "bench"): ("241f5132b9f3de6c9c6cbb9ebd6c393fc935e071", 12),
-    ("PO", "test"): ("d47711ae81e0ee671a8b63ab13b4dfb0a2a22340", 8),
-    ("PO", "bench"): ("358edc3fec4adfb7666b952ba03b30abf3d706fc", 16),
-    ("SK", "test"): ("49d8ee7d20903a494ea79568e31038e59b2b6581", 8),
-    ("SK", "bench"): ("000eba8c21940c0f502dfe7ad5a24751e06878ef", 16),
-    ("CN", "test"): ("63e504ec8800b3ca78fc127f664e280759be5654", 8),
-    ("CN", "bench"): ("fcf645a1a748defb7e3c841585605b6e70078d6d", 16),
-    ("BA", "test"): ("89b789edc2e344e4df12f5bafd4e8aafb7137832", 7),
-    ("BA", "bench"): ("19dc6035893caf9d45bdff8a1b75803e802d279f", 14),
-    ("OR", "test"): ("4e7f24a057fbfe0fdb939424cf1f690a11d23f27", 10),
-    ("OR", "bench"): ("d8c1f08965ad0101f0945e82b8fe7c0c57e19f1d", 22),
-    ("SO", "test"): ("b101bbef60db51af485e9f400c2b1db04b21b60a", 7),
-    ("SO", "bench"): ("5a3caec8d5d6b9975c161610e5da934a4f9d29cf", 14),
-    ("tail", None): ("b48c399f2bd033ce49d0ff1775f2f8054599b566", 8),
+    ("NA", "test"): ("28a07bbddac35d5679f366a93717fc53bd7ed22b", 6),
+    ("NA", "bench"): ("8fe2529c8e3925827fd75131caf33b9831ef225a", 10),
+    ("FB", "test"): ("dc93c4a01f9d45979d6aa3d12a838324c7b4ff8a", 8),
+    ("FB", "bench"): ("eb073fc6e439fdd425a4c153e78ffd8eb4548e3e", 16),
+    ("WE", "test"): ("ca290d9683cb65de4f2d793dc79c1233bfe04568", 6),
+    ("WE", "bench"): ("e17b92ed364ffcf60c93e248492e1feb80e4a165", 14),
+    ("WK", "test"): ("77fdf96fc12758e7d9da43607c010e5441acc660", 6),
+    ("WK", "bench"): ("f9f9eec2d5fec09f7b4d667c47a0d3942ed350e6", 14),
+    ("SH", "test"): ("7ae32c5efc6f972c450bd7440c1e0e40405bd4f5", 5),
+    ("SH", "bench"): ("dac3c7b7c0c528a3efb09da07d8d3feefbb6041c", 12),
+    ("ST", "test"): ("9f7b0313e4ae963910185909ba61d684ce7171c3", 7),
+    ("ST", "bench"): ("705c251959a5700120261be836df8d49f33e1cd9", 16),
+    ("DB", "test"): ("dc4864c7744b1ad21e44edfb4337ba87200bfdc9", 3),
+    ("DB", "bench"): ("c2b65395f6c50301ca9cd4f591913883b654794a", 10),
+    ("DE", "test"): ("675569c83d0b4f73dae064b016cadf521c7abd05", 8),
+    ("DE", "bench"): ("575d9e35af48feca2f1706a3b00c6c4942b6134c", 12),
+    ("DG", "test"): ("7cbeb2eec7bfbc6a2a0cf94d1608d31392c27229", 10),
+    ("DG", "bench"): ("2fae22f49392e8e9c9439bef521fe05758cdb621", 20),
+    ("YO", "test"): ("05bfb437ebeeca6b09193e177b43d3606597352a", 6),
+    ("YO", "bench"): ("6487155905e173f5357819396d1e7402eaedc984", 12),
+    ("PO", "test"): ("d4dda0b49099b628281d382167e5ad2ae9439008", 8),
+    ("PO", "bench"): ("367718eb752a30e5eca1089a8f1fce489be1a6ae", 16),
+    ("SK", "test"): ("e335639ffef53c129fe24b28e5b79db3b458920d", 8),
+    ("SK", "bench"): ("48c5f51690d42b797c31957455f5a7cf503ba9bc", 16),
+    ("CN", "test"): ("c1bbbb347af58168de4999f5ac73bc58cd62b3c8", 8),
+    ("CN", "bench"): ("b5220ed319271e772a6550b116ab06da251203e9", 16),
+    ("BA", "test"): ("e4569328be00b55ccd1f33fded859173569619e2", 7),
+    ("BA", "bench"): ("24e959163828de4728e1980d6552fef820f122eb", 14),
+    ("OR", "test"): ("1f8cc434d1a26d77242f7eb51efc0d1baa9b1ecb", 10),
+    ("OR", "bench"): ("4c2c6c5524ec0ca7e5bdc0ba99ac26ae4bbd04cb", 22),
+    ("SO", "test"): ("982f3dbe62590ba89be2d4cebd7b9b73e8c7070e", 7),
+    ("SO", "bench"): ("1288edac2f3ef12ff80de5fb7ddf31ad07cac0b8", 14),
+    ("tail", None): ("83348421e9b497ed2aeba87a70c169ca910ab3b0", 8),
 }
 
 
@@ -169,6 +210,40 @@ def test_edge_order_unknown_kind():
 
 
 def test_orders_are_deterministic():
+    """The same graph gives the same orders however it was built: here from
+    a shuffled edge list with half the pairs reversed, so every adjacency
+    set has another insertion history."""
+    edges = ba_edges(60, 3, 2).tolist()
     g = to_local(ba_edges(60, 3, 2), 60)
-    assert truss_order(g).order == truss_order(g).order
-    assert degeneracy_order(g).order == degeneracy_order(g).order
+    random.Random(0).shuffle(edges)
+    h = LocalGraph.from_edges(
+        [(v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(edges)], range(60)
+    )
+    assert h.adj == g.adj
+    assert truss_order(g).order == truss_order(g).order == truss_order(h).order
+    assert degeneracy_order(g).order == degeneracy_order(g).order == degeneracy_order(h).order
+
+
+@pytest.mark.parametrize(
+    "g,order,tau",
+    [
+        pytest.param(LocalGraph({}), [], 0, id="empty"),
+        pytest.param(LocalGraph({3: set(), 8: set()}), [], 0, id="isolated"),
+        pytest.param(LocalGraph.from_edges([(9, 4)]), [(4, 9)], 0, id="single-edge"),
+        pytest.param(complete(3), [(0, 1), (0, 2), (1, 2)], 1, id="triangle"),
+    ],
+)
+def test_truss_order_degenerate_inputs(g, order, tau):
+    assert truss_order(g) == TrussResult(order=order, tau=tau)
+
+
+def test_truss_order_huge_ids():
+    """Ids offset by 10**12 give the un-offset order, shifted: vertices are
+    mapped to dense indices in id order before any array is built."""
+    g = load_local("OR", "test")
+    off = 10**12
+    shifted = LocalGraph({v + off: {u + off for u in ns} for v, ns in g.adj.items()})
+    r, rs = truss_order(g), truss_order(shifted)
+    assert rs.tau == r.tau
+    assert rs.order == [(u + off, v + off) for u, v in r.order]
+    assert all(type(x) is int for e in rs.order for x in e)

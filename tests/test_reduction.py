@@ -124,7 +124,7 @@ def test_gr_removes_exactly_the_complement_of_the_3_core(make):
     assert red.removed == g.n - len(core)
     assert red.reduced.adj == {v: g.adj[v] & core for v in core}
     # Each survivor's set iterates like a fresh copy of its input set with
-    # the removed vertices skipped: the truss peel breaks ties in that order.
+    # the removed vertices skipped.
     for v in core:
         assert list(red.reduced.adj[v]) == [u for u in set(g.adj[v]) if u in core]
 
