@@ -46,12 +46,3 @@ def test_distributed_hbbmcpp_scaleout(benchmark, spark, or_edges):
     row = benchmark.pedantic(run_pair, rounds=1, iterations=1)
     save("dist.json", row)
     assert row["n_cliques"] > 0
-
-
-def test_distributed_rdegen(benchmark, spark, or_edges):
-    res = benchmark.pedantic(
-        lambda: mce_distributed(spark, or_edges, "RDegen", num_partitions=64),
-        rounds=1,
-        iterations=1,
-    )
-    assert res.n_cliques > 0

@@ -1,21 +1,17 @@
-"""spark-submit entrypoint reproducing one evaluation table (I–VI).
+"""Command-line entrypoint reproducing one evaluation table (I–VI).
 
-Runs the harness ``repro.tables.TABLES[N]`` and prints its rows (aligned
-text or markdown). A SparkSession is created only when the distributed mode
-is requested; the default local mode matches the paper's single-machine
-timing setting. Table I only computes dataset statistics, so it has no
-distributed mode.
+Runs the harness ``repro.tables.TABLES[N]`` in process, as the paper times
+its tables on one machine, and prints its rows (aligned text or markdown).
 
-Usage: python jobs/tables.py --table N [--scale bench|test] [--mode local|dist]
+Usage: python jobs/tables.py --table N [--scale bench|test]
        [--datasets NA FB ...] [--markdown]
 """
 from __future__ import annotations
 
 import argparse
+import sys
 
-from _common import emit
-
-from repro.tables import TABLES
+from repro.tables import TABLES, format_markdown
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -24,31 +20,30 @@ def parse_args(argv=None) -> argparse.Namespace:
                    help="evaluation table to reproduce (1-6)")
     p.add_argument("--scale", choices=["test", "bench"], default="bench",
                    help="surrogate dataset scale (test is ~10x smaller)")
-    p.add_argument("--mode", choices=["local", "dist"], default="local",
-                   help="local sequential runners or the Spark root-branch job")
     p.add_argument("--datasets", nargs="*", default=None,
                    help="subset of dataset short names (default: all 16)")
     p.add_argument("--markdown", action="store_true", help="emit a markdown table")
-    args = p.parse_args(argv)
-    if args.table == 1 and args.mode == "dist":
-        p.error("table 1 (dataset statistics) runs no search and has no dist mode")
-    return args
+    return p.parse_args(argv)
+
+
+def emit(rows: list[dict], markdown: bool) -> None:
+    if markdown:
+        print(format_markdown(rows))
+        return
+    if not rows:
+        print("(no rows)")
+        return
+    cols = list(rows[0])
+    widths = {c: max(len(c), *(len(str(r.get(c, ""))) for r in rows)) for c in cols}
+    print("  ".join(c.ljust(widths[c]) for c in cols))
+    for r in rows:
+        print("  ".join(str(r.get(c, "")).ljust(widths[c]) for c in cols))
+    sys.stdout.flush()
 
 
 def main(argv=None) -> None:
     args = parse_args(argv)
-    spark = None
-    kwargs = {}
-    if args.table != 1:
-        if args.mode == "dist":
-            from pyspark.sql import SparkSession
-
-            spark = SparkSession.builder.appName("repro-mce").getOrCreate()
-        kwargs = dict(mode=args.mode, spark=spark)
-    rows = TABLES[args.table](names=args.datasets, scale=args.scale, **kwargs)
-    emit(rows, args)
-    if spark is not None:
-        spark.stop()
+    emit(TABLES[args.table](names=args.datasets, scale=args.scale), args.markdown)
 
 
 if __name__ == "__main__":

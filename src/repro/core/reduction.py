@@ -28,14 +28,6 @@ A phantom blocker of a size >= 3 clique would have had degree >= 3 at its
 removal time — impossible here — so size <= 2 filtering is exact. Every
 removed w still has all of N(w) ∩ core when it goes, so the core part of
 ``blocked`` is the same for every pop order.
-
-The survivors' sets are built once, at the end: each is a copy of its
-``g.adj`` set with the removed neighbours discarded one at a time. A
-discard never resizes a set, so each copy keeps the hash-table layout, and
-so the iteration order, of a fresh copy of the input set. Nothing
-downstream reads that order: the truss peel, the degeneracy peel and the
-kernels break ties on vertex ids, so the plan and ``#calls`` depend only on
-the graph.
 """
 from __future__ import annotations
 
@@ -96,16 +88,7 @@ def reduce_graph(g: LocalGraph, *, enabled: bool = True) -> Reduction:
             deg[u] -= 1
             if deg[u] == 2:
                 work.append(u)
-    core: dict[int, set[int]] = {}
-    for v, nbrs in adj.items():
-        if v in gone:
-            continue
-        s = set(nbrs)
-        if deg[v] < len(nbrs):
-            for u in nbrs:
-                if u in gone:
-                    s.discard(u)
-        core[v] = s
+    core = {v: nbrs - gone for v, nbrs in adj.items() if v not in gone}
     return Reduction(
         reduced=LocalGraph(core), cliques=cliques, blocked=blocked, removed=len(gone)
     )

@@ -5,23 +5,14 @@ datasets and returns one dict per table row, with the paper's reported
 number (seconds, from the tables in Section V) next to the measured one, so
 EXPERIMENTS.md and the jobs can print paper-vs-measured directly.
 
-Execution mode:
-
-- ``mode="local"`` (default): the sequential runners of ``repro.core`` —
-  this matches the paper's single-machine setting and is what the recorded
-  EXPERIMENTS.md numbers use;
-- ``mode="dist"``: every run goes through the Spark root-branch-partitioned
-  job in ``repro.dist.mce`` (requires a SparkSession). Times then include
-  Spark scheduling overhead, which at surrogate scale dominates; the
-  distributed path's purpose is validated scale-out, not kernel timing.
-
-All runs in a table assert they produce the same number of maximal cliques.
+Every run is in process, on one core, as the paper times its tables on one
+machine, and counts cliques without building them (the rows read only the
+count, the counters and the time). All runs in a table assert they produce
+the same number of maximal cliques.
 """
 from __future__ import annotations
 
-from typing import Callable
-
-from .core.hbbmc import MceRun, run_named
+from .core.hbbmc import run_named
 from .graphs.datasets import (
     DATASET_NAMES,
     PAPER_STATS,
@@ -100,47 +91,6 @@ PAPER_T6 = {  # HBBMC++, VBBMC-dgn, HBBMC-dgn, HBBMC-mdg
 }
 
 
-def _runner(mode: str, spark) -> Callable[..., MceRun]:
-    """Dispatch a (graph, algorithm, overrides) runner for the mode."""
-    if mode == "local":
-        # The tables read only n_cliques, stats and seconds: count, do not
-        # build and sort every clique inside the timed run.
-        def run(g, edges_df_, name, **ov):
-            return run_named(g, name, collect=False, **ov)
-        return run
-    if mode == "dist":
-        if spark is None:
-            raise ValueError("mode='dist' needs a SparkSession")
-        import time
-
-        from .dist.mce import mce_distributed
-
-        def run(g, edges_df_, name, **ov):
-            t0 = time.perf_counter()
-            res = mce_distributed(spark, edges_df_, name, **ov)
-            secs = time.perf_counter() - t0
-            return MceRun(cliques=None, stats=res.stats, seconds=secs)
-        return run
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _materialize(names, scale, mode, spark):
-    """Load each dataset once per table run (graph and, for dist mode, the
-    Spark edge DataFrame)."""
-    out = []
-    for name in names:
-        g = load_local(name, scale)
-        edf = None
-        if mode == "dist":
-            from .graphs.edgelist import edges_df
-            from .graphs.datasets import load_edges
-
-            edf = edges_df(spark, load_edges(name, scale)).cache()
-            edf.count()
-        out.append((name, g, edf))
-    return out
-
-
 def table1(names=None, scale: str = "bench") -> list[dict]:
     """Table I: dataset statistics (measured surrogate vs paper original)."""
     rows = []
@@ -165,20 +115,23 @@ def table1(names=None, scale: str = "bench") -> list[dict]:
     return rows
 
 
-def _alg_table(algs: list[str], paper: dict[str, tuple], names, scale, mode, spark) -> list[dict]:
-    """Shared driver for Tables II, III and VI: run ``algs`` per dataset,
-    check clique counts agree, report seconds/calls with paper seconds."""
+def _sweep(runs, paper: dict[str, tuple], cells, names, scale) -> list[dict]:
+    """Shared driver for Tables II–VI: load each dataset once, run every
+    ``(prefix, algorithm, overrides)`` of ``runs`` on it in count mode, and
+    check the clique counts agree. A row holds ``{prefix}_s`` and
+    ``{prefix}_calls`` per run, then the columns ``cells(i, run, paper
+    entry of run i)`` adds under the same prefix, then ``cliques``."""
     rows = []
-    run = _runner(mode, spark)
-    for name, g, edf in _materialize(names or DATASET_NAMES, scale, mode, spark):
+    for name in names or DATASET_NAMES:
+        g = load_local(name, scale)
         row: dict = {"dataset": name}
         counts = set()
-        for i, alg in enumerate(algs):
-            r = run(g, edf, alg)
-            key = alg.lower().replace("+", "p").replace("-", "_")
-            row[f"{key}_s"] = round(r.seconds, 4)
-            row[f"{key}_calls"] = r.stats.calls
-            row[f"{key}_paper_s"] = paper[name][i] if name in paper else None
+        for i, (prefix, alg, overrides) in enumerate(runs):
+            r = run_named(g, alg, collect=False, **overrides)
+            row[f"{prefix}_s"] = round(r.seconds, 4)
+            row[f"{prefix}_calls"] = r.stats.calls
+            for k, v in cells(i, r, paper[name][i]).items():
+                row[f"{prefix}_{k}"] = v
             counts.add(r.n_cliques)
         assert len(counts) == 1, f"{name}: clique counts disagree: {counts}"
         row["cliques"] = counts.pop()
@@ -186,73 +139,64 @@ def _alg_table(algs: list[str], paper: dict[str, tuple], names, scale, mode, spa
     return rows
 
 
-def table2(names=None, scale="bench", mode="local", spark=None) -> list[dict]:
+def _algs(*algs: str) -> list[tuple[str, str, dict]]:
+    """One default-configured run per algorithm, prefixed by its name."""
+    return [(a.lower().replace("+", "p").replace("-", "_"), a, {}) for a in algs]
+
+
+def _paper_s(i, r, p) -> dict:
+    return {"paper_s": p}
+
+
+def table2(names=None, scale="bench") -> list[dict]:
     """Table II: HBBMC++ vs the four VBBMC+GR baselines."""
-    return _alg_table(
-        ["HBBMC++", "RRef", "RDegen", "RRcd", "RFac"], PAPER_T2, names, scale, mode, spark
+    return _sweep(
+        _algs("HBBMC++", "RRef", "RDegen", "RRcd", "RFac"), PAPER_T2, _paper_s, names, scale
     )
 
 
-def table3(names=None, scale="bench", mode="local", spark=None) -> list[dict]:
+def table3(names=None, scale="bench") -> list[dict]:
     """Table III: ablation (HBBMC+, RDegen) and hybrid-with-other-kernels."""
-    return _alg_table(
-        ["HBBMC++", "HBBMC+", "RDegen", "Ref++", "Rcd++", "Fac++"],
+    return _sweep(
+        _algs("HBBMC++", "HBBMC+", "RDegen", "Ref++", "Rcd++", "Fac++"),
         PAPER_T3,
+        _paper_s,
         names,
         scale,
-        mode,
-        spark,
     )
 
 
-def table4(names=None, scale="bench", mode="local", spark=None) -> list[dict]:
+def table4(names=None, scale="bench") -> list[dict]:
     """Table IV: edge-oriented branching depth d ∈ {1, 2, 3}."""
-    rows = []
-    run = _runner(mode, spark)
-    for name, g, edf in _materialize(names or DATASET_NAMES, scale, mode, spark):
-        row: dict = {"dataset": name}
-        counts = set()
-        for d in (1, 2, 3):
-            r = run(g, edf, "HBBMC++", d=d)
-            pt = PAPER_T4.get(name)
-            row[f"d{d}_s"] = round(r.seconds, 4)
-            row[f"d{d}_calls"] = r.stats.calls
-            row[f"d{d}_paper_s"] = pt[d - 1][0] if pt else None
-            row[f"d{d}_paper_calls"] = pt[d - 1][1] if pt else None
-            counts.add(r.n_cliques)
-        assert len(counts) == 1, f"{name}: clique counts disagree across d"
-        row["cliques"] = counts.pop()
-        rows.append(row)
-    return rows
+    return _sweep(
+        [(f"d{d}", "HBBMC++", {"d": d}) for d in (1, 2, 3)],
+        PAPER_T4,
+        lambda i, r, p: {"paper_s": p[0], "paper_calls": p[1]},
+        names,
+        scale,
+    )
 
 
-def table5(names=None, scale="bench", mode="local", spark=None) -> list[dict]:
+def table5(names=None, scale="bench") -> list[dict]:
     """Table V: early-termination threshold t ∈ {0, 1, 2, 3} with the b0/b
     ratio."""
-    rows = []
-    run = _runner(mode, spark)
-    for name, g, edf in _materialize(names or DATASET_NAMES, scale, mode, spark):
-        row: dict = {"dataset": name}
-        counts = set()
-        for t in (0, 1, 2, 3):
-            r = run(g, edf, "HBBMC++", et_t=t)
-            pt = PAPER_T5.get(name)
-            row[f"t{t}_s"] = round(r.seconds, 4)
-            row[f"t{t}_calls"] = r.stats.calls
-            row[f"t{t}_ratio"] = round(100 * r.stats.ratio(), 2) if t else None
-            row[f"t{t}_paper_s"] = pt[t][0] if pt else None
-            row[f"t{t}_paper_ratio"] = pt[t][2] if pt else None
-            counts.add(r.n_cliques)
-        assert len(counts) == 1, f"{name}: clique counts disagree across t"
-        row["cliques"] = counts.pop()
-        rows.append(row)
-    return rows
+    return _sweep(
+        [(f"t{t}", "HBBMC++", {"et_t": t}) for t in (0, 1, 2, 3)],
+        PAPER_T5,
+        lambda t, r, p: {
+            "ratio": round(100 * r.stats.ratio(), 2) if t else None,
+            "paper_s": p[0],
+            "paper_ratio": p[2],
+        },
+        names,
+        scale,
+    )
 
 
-def table6(names=None, scale="bench", mode="local", spark=None) -> list[dict]:
+def table6(names=None, scale="bench") -> list[dict]:
     """Table VI: initial-branch ordering (truss vs dgn vs mdg vs vertex)."""
-    return _alg_table(
-        ["HBBMC++", "VBBMC-dgn", "HBBMC-dgn", "HBBMC-mdg"], PAPER_T6, names, scale, mode, spark
+    return _sweep(
+        _algs("HBBMC++", "VBBMC-dgn", "HBBMC-dgn", "HBBMC-mdg"), PAPER_T6, _paper_s, names, scale
     )
 
 

@@ -123,10 +123,6 @@ def test_gr_removes_exactly_the_complement_of_the_3_core(make):
     red = reduce_graph(g)
     assert red.removed == g.n - len(core)
     assert red.reduced.adj == {v: g.adj[v] & core for v in core}
-    # Each survivor's set iterates like a fresh copy of its input set with
-    # the removed vertices skipped.
-    for v in core:
-        assert list(red.reduced.adj[v]) == [u for u in set(g.adj[v]) if u in core]
 
 
 @pytest.mark.parametrize("make", GR_GRAPHS)

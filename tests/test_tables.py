@@ -1,8 +1,13 @@
 """Smoke-run the table harnesses at test scale (they are the engines behind
 jobs/ and benchmarks/)."""
+import json
+from pathlib import Path
+
 import pytest
 
 from repro import tables
+
+RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 SUBSET = ["NA", "DB"]
 
@@ -56,11 +61,10 @@ def test_format_markdown():
     assert "| 1 | x |" in md
 
 
-def test_table2_dist_mode(spark):
-    rows = tables.table2(names=["DB"], scale="test", mode="dist", spark=spark)
-    assert rows[0]["cliques"] > 0
-
-
-def test_dist_mode_requires_spark():
-    with pytest.raises(ValueError, match="SparkSession"):
-        tables.table2(names=["DB"], scale="test", mode="dist", spark=None)
+@pytest.mark.parametrize("n", sorted(tables.TABLES))
+def test_columns_match_committed_results(n):
+    """scripts/make_experiments.py renders results/tableN.json by column
+    name, so a table's columns and their order are part of its output."""
+    committed = json.loads((RESULTS / f"table{n}.json").read_text())
+    rows = tables.TABLES[n](names=["NA"], scale="test")
+    assert list(rows[0]) == list(committed[0])
