@@ -13,8 +13,9 @@ Xu et al. [17]):
    balance cost, into one group per task, so every task gets a balanced mix
    of heavy and light branches. There is one task per slot of the session
    (``defaultParallelism``) unless ``num_partitions`` says otherwise, and
-   never more tasks than branches. The plan and the groups are broadcast
-   once, and the broadcast is destroyed once the stage's result is
+   never more tasks than branches. The plan, without the cliques and
+   counters of the planning (no task reads them), and the groups are
+   broadcast once, and the broadcast is destroyed once the stage's result is
    checkpointed and its counters collected.
 3. ``spark.range(n_tasks, numPartitions=n_tasks).mapInPandas`` runs task
    ``t`` over group ``t``: it calls ``repro.core.hbbmc.run_roots`` once on
@@ -27,7 +28,12 @@ Xu et al. [17]):
    execution cannot coalesce the tasks into fewer partitions. The stage's
    result is checkpointed lazily (``localCheckpoint(eager=False)``): the
    one Spark job that collects the counter rows runs the stage and keeps
-   its output, so the kernels run once per call, in one job.
+   its output, so the kernels run once per call, in one job. Each task
+   ends by dropping the zip finders from ``sys.path_importer_cache``
+   (``_drop_zip_finders``): PySpark calls ``importlib.invalidate_caches()``
+   before every task, and on CPython 3.11 and 3.12 each cached
+   ``zipimporter`` then re-reads its whole archive, about 0.25 s of CPU per
+   task on a warm worker before any MCE code runs.
 4. The driver merges those counters with the plan's own and returns a
    clique DataFrame (the checkpointed clique rows plus the plan's cliques)
    and the merged ``BranchStats``.
@@ -39,8 +45,10 @@ local runner's.
 from __future__ import annotations
 
 import json
+import sys
+import zipimport
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -51,6 +59,26 @@ from ..core.stats import BranchStats
 from ..graphs.edgelist import to_local
 
 _RESULT_SCHEMA = "kind string, payload string, size long"
+
+
+def _drop_zip_finders() -> None:
+    """Delete every ``zipimporter`` from ``sys.path_importer_cache``.
+
+    A reused PySpark worker runs ``worker_util.setup_spark_files`` before
+    each task, which calls ``importlib.invalidate_caches()``. On CPython
+    3.11 and 3.12, ``zipimporter.invalidate_caches`` re-reads the archive's
+    whole central directory (3.13 only drops a cache entry). A warm worker
+    caches about 16 zip finders, over ``pyspark.zip`` (1,328 entries), the
+    spark-core jar (5,359) and py4j, so each task would spend about 0.25 s
+    of CPU re-reading them. The entries are only a cache: the import system
+    rebuilds any it needs from zipimport's own directory cache without
+    reading the archive, so imports keep working and the next task's
+    invalidation finds almost nothing to re-read. Call it only inside a
+    Spark task; it can go once the workers' interpreter stops re-reading.
+    """
+    cache = sys.path_importer_cache
+    for path in [p for p, f in cache.items() if isinstance(f, zipimport.zipimporter)]:
+        del cache[path]
 
 
 @dataclass
@@ -86,7 +114,9 @@ def mce_distributed(
     # Deal round-robin by descending balance cost.
     ordered = sorted(range(len(costs)), key=lambda i: (-costs[i], i))
     groups = [sorted(ordered[t::n_tasks]) for t in range(n_tasks)]
-    bc = spark.sparkContext.broadcast((plan, groups))
+    # Tasks read neither the planner's cliques nor its counters.
+    shipped = replace(plan, cliques=[], stats=BranchStats())
+    bc = spark.sparkContext.broadcast((shipped, groups))
 
     def run_tasks(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         plan, groups = bc.value
@@ -102,6 +132,7 @@ def mce_distributed(
                         "size": [len(c) for c in enum.out] + [0],
                     }
                 )
+        _drop_zip_finders()
 
     # The lazy checkpoint is taken by the job that collects the counters, so
     # the kernel stage runs once, in that one job. The checkpointed result

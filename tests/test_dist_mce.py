@@ -1,12 +1,17 @@
 """The distributed root-branch-partitioned MCE job emits exactly the local
 runner's clique set and counters, for every named algorithm."""
 import os
+import sys
+import zipfile
+import zipimport
 
 import numpy as np
 import pytest
+from pyspark import SparkContext
 
 from repro.core.hbbmc import ALGORITHMS, run_named
-from repro.dist.mce import mce_distributed
+from repro.core.stats import BranchStats
+from repro.dist.mce import _drop_zip_finders, mce_distributed
 from repro.graphs.datasets import load_edges, load_local
 from repro.graphs.edgelist import edges_df
 from repro.graphs.generators import er_edges, social_edges, to_local
@@ -168,3 +173,59 @@ def test_one_kernel_job_per_run(spark, social_pair):
         sc.setLocalProperty("spark.jobGroup.id", None)
     assert len(sc.statusTracker().getJobIdsForGroup(group)) == 2
     assert _dist_cliques(res) == run_named(g, "HBBMC++").cliques
+
+
+def test_broadcast_ships_no_planner_cliques(spark, monkeypatch):
+    """Tasks read neither GR's cliques nor the planner's counters, so the
+    broadcast plan carries neither; the driver still adds both in."""
+    e = social_edges(300, 1, 3, caves=(4, 12, 4), core=(20, 0.4))
+    edf = edges_df(spark, e)
+    shipped = []
+    broadcast = SparkContext.broadcast
+
+    def capture(sc, value):
+        shipped.append(value)
+        return broadcast(sc, value)
+
+    monkeypatch.setattr(SparkContext, "broadcast", capture)
+    res = mce_distributed(spark, edf, "HBBMC++", num_partitions=2)
+    local = run_named(to_local(e), "HBBMC++")
+    assert local.stats.gr_cliques > 100
+    ((plan, _groups),) = shipped
+    assert plan.cliques == []
+    assert plan.stats == BranchStats()
+    assert _dist_cliques(res) == local.cliques
+    assert res.stats.as_dict() == local.stats.as_dict()
+
+
+def test_drop_zip_finders_keeps_zip_imports_working(tmp_path, monkeypatch):
+    """The helper drops only the cached zip finders; a later import from the
+    same archive rebuilds its finder without re-reading the archive."""
+    archive = tmp_path / "zpkg.zip"
+    with zipfile.ZipFile(archive, "w") as z:
+        z.writestr("zpkg/__init__.py", "")
+        z.writestr("zpkg/a.py", "X = 1\n")
+        z.writestr("zpkg/b.py", "X = 2\n")
+    monkeypatch.syspath_prepend(str(archive))
+    try:
+        import zpkg.a
+
+        cache = sys.path_importer_cache
+        assert any(isinstance(f, zipimport.zipimporter) for f in cache.values())
+        others = {p: f for p, f in cache.items() if not isinstance(f, zipimport.zipimporter)}
+        _drop_zip_finders()
+        assert not any(isinstance(f, zipimport.zipimporter) for f in cache.values())
+        assert all(cache[p] is f for p, f in others.items())
+
+        def read_directory(path):
+            raise AssertionError(f"re-read {path}")
+
+        monkeypatch.setattr(zipimport, "_read_directory", read_directory)
+        import zpkg.b
+
+        assert (zpkg.a.X, zpkg.b.X) == (1, 2)
+    finally:
+        for name in ("zpkg", "zpkg.a", "zpkg.b"):
+            sys.modules.pop(name, None)
+        for path in [p for p in sys.path_importer_cache if p.startswith(str(archive))]:
+            del sys.path_importer_cache[path]
