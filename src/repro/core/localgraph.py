@@ -1,7 +1,8 @@
 """Adjacency-set graph used by the sequential kernels.
 
-The distributed layer broadcasts one of these per job; the kernels only ever
-read ``adj``. Vertices are ints; the graph is simple and undirected (no
+The kernels only ever read ``adj``; the distributed layer broadcasts a
+``RootPlan`` (with ``adj`` as a plain dict) and the task groups, not a
+``LocalGraph``. Vertices are ints; the graph is simple and undirected (no
 self-loops, no parallel edges — ``from_edges`` canonicalizes).
 """
 from __future__ import annotations

@@ -37,7 +37,3 @@ class BranchStats:
 
     def as_dict(self) -> dict[str, int]:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, int]) -> "BranchStats":
-        return cls(**{f.name: int(d[f.name]) for f in fields(cls)})

@@ -15,28 +15,31 @@ Xu et al. [17]):
    (``defaultParallelism``) unless ``num_partitions`` says otherwise, and
    never more tasks than branches. The plan, without the cliques and
    counters of the planning (no task reads them), and the groups are
-   broadcast once, and the broadcast is destroyed once the stage's result is
-   checkpointed and its counters collected.
+   broadcast once.
 3. ``spark.range(n_tasks, numPartitions=n_tasks).mapInPandas`` runs task
    ``t`` over group ``t``: it calls ``repro.core.hbbmc.run_roots`` once on
    the group's branch ids — the same executor the local runner calls once on
    every id; it sweeps the plan's root order (edges or vertices) up to the
-   group's largest id — and emits one row per maximal clique
-   (``kind='clique'``, payload = comma-joined vertex ids) plus one counter
-   row (``kind='stats'``, payload = JSON) — strings, so results stay
-   orderable/joinable. No shuffle precedes this stage, so adaptive query
-   execution cannot coalesce the tasks into fewer partitions. The stage's
-   result is checkpointed lazily (``localCheckpoint(eager=False)``): the
-   one Spark job that collects the counter rows runs the stage and keeps
-   its output, so the kernels run once per call, in one job. Each task
-   ends by dropping the zip finders from ``sys.path_importer_cache``
+   group's largest id — emits one ``(clique, size)`` row per maximal clique
+   (the clique as comma-joined vertex ids, a string, so results stay
+   orderable/joinable), and adds its ``BranchStats`` to a per-call
+   accumulator. No shuffle precedes this stage, so adaptive query execution
+   cannot coalesce the tasks into fewer partitions. Each task ends by
+   dropping the zip finders from ``sys.path_importer_cache``
    (``_drop_zip_finders``): PySpark calls ``importlib.invalidate_caches()``
    before every task, and on CPython 3.11 and 3.12 each cached
    ``zipimporter`` then re-reads its whole archive, about 0.25 s of CPU per
    task on a warm worker before any MCE code runs.
-4. The driver merges those counters with the plan's own and returns a
-   clique DataFrame (the checkpointed clique rows plus the plan's cliques)
-   and the merged ``BranchStats``.
+4. The stage runs once, in the one job of ``localCheckpoint(eager=True)``,
+   and that checkpointed DataFrame is the clique DataFrame (with the plan's
+   cliques unioned in when there are any), so reading the result re-runs
+   no kernel. The broadcast is destroyed as soon as the checkpoint returns.
+   The counters are exact: the checkpoint job is a single result stage with
+   no shuffle, the DAGScheduler applies a result task's accumulator update
+   only for the first successful attempt of each partition, and the values
+   of failed attempts of a Python accumulator are not counted. So
+   ``acc.value``, read after the job, holds each task's counters once; the
+   driver adds the plan's own and returns them with the clique DataFrame.
 
 Every ``ALGORITHMS`` name runs through this path; ``tests/test_dist_mce.py``
 asserts that the distributed clique set and counters are identical to the
@@ -44,21 +47,22 @@ local runner's.
 """
 from __future__ import annotations
 
-import json
 import sys
 import zipimport
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import pandas as pd
+from pyspark.accumulators import AccumulatorParam
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql.types import LongType, StringType, StructField, StructType
 
 from ..core.hbbmc import plan_roots, resolve_config, run_roots
 from ..core.stats import BranchStats
 from ..graphs.edgelist import to_local
 
-_RESULT_SCHEMA = "kind string, payload string, size long"
+#: The clique DataFrame's schema: the kernel tasks' rows and the driver's.
+_CLIQUE_SCHEMA = StructType([StructField("clique", StringType()), StructField("size", LongType())])
 
 
 def _drop_zip_finders() -> None:
@@ -79,6 +83,17 @@ def _drop_zip_finders() -> None:
     cache = sys.path_importer_cache
     for path in [p for p, f in cache.items() if isinstance(f, zipimport.zipimporter)]:
         del cache[path]
+
+
+class _StatsParam(AccumulatorParam):
+    """Adds the kernel tasks' ``BranchStats`` up on the driver."""
+
+    def zero(self, value: BranchStats) -> BranchStats:
+        return BranchStats()
+
+    def addInPlace(self, value1: BranchStats, value2: BranchStats) -> BranchStats:
+        value1.merge(value2)
+        return value1
 
 
 @dataclass
@@ -108,7 +123,8 @@ def mce_distributed(
     cfg = resolve_config(algorithm, overrides)  # a bad config fails before the collect
     plan = plan_roots(to_local(edges), cfg)
 
-    n_tasks = num_partitions or spark.sparkContext.defaultParallelism
+    sc = spark.sparkContext
+    n_tasks = num_partitions or sc.defaultParallelism
     costs = plan.costs
     n_tasks = max(1, min(n_tasks, len(costs)))
     # Deal round-robin by descending balance cost.
@@ -116,7 +132,8 @@ def mce_distributed(
     groups = [sorted(ordered[t::n_tasks]) for t in range(n_tasks)]
     # Tasks read neither the planner's cliques nor its counters.
     shipped = replace(plan, cliques=[], stats=BranchStats())
-    bc = spark.sparkContext.broadcast((shipped, groups))
+    bc = sc.broadcast((shipped, groups))
+    acc = sc.accumulator(BranchStats(), _StatsParam())
 
     def run_tasks(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         plan, groups = bc.value
@@ -124,41 +141,28 @@ def mce_distributed(
             for t in batch["id"].tolist():
                 enum = plan.enumerator()
                 run_roots(enum, plan, groups[t])
+                acc.add(enum.stats)
                 yield pd.DataFrame(
-                    {
-                        "kind": ["clique"] * len(enum.out) + ["stats"],
-                        "payload": [",".join(map(str, c)) for c in enum.out]
-                        + [json.dumps(enum.stats.as_dict())],
-                        "size": [len(c) for c in enum.out] + [0],
-                    }
+                    {"clique": [",".join(map(str, c)) for c in enum.out], "size": [len(c) for c in enum.out]}
                 )
         _drop_zip_finders()
 
-    # The lazy checkpoint is taken by the job that collects the counters, so
-    # the kernel stage runs once, in that one job. The checkpointed result
-    # no longer reads the broadcast, so its driver file is deleted as soon
-    # as the counters are in.
+    # The eager checkpoint is the one job that runs the kernels; its output
+    # no longer reads the broadcast, so the driver file goes right after.
     try:
-        result = (
+        cliques_df = (
             spark.range(n_tasks, numPartitions=n_tasks)
-            .mapInPandas(run_tasks, schema=_RESULT_SCHEMA)
-            .localCheckpoint(eager=False)
+            .mapInPandas(run_tasks, schema=_CLIQUE_SCHEMA)
+            .localCheckpoint(eager=True)
         )
-        stats = plan.stats
-        for row in result.where(F.col("kind") == "stats").select("payload").collect():
-            stats.merge(BranchStats.from_dict(json.loads(row["payload"])))
     finally:
         bc.destroy()
-
-    worker_cliques = result.where(F.col("kind") == "clique").select(
-        F.col("payload").alias("clique"), "size"
-    )
     if plan.cliques:
         driver_df = spark.createDataFrame(
-            [(",".join(map(str, c)), len(c)) for c in plan.cliques], "clique string, size long"
+            [(",".join(map(str, c)), len(c)) for c in plan.cliques], _CLIQUE_SCHEMA
         )
-        cliques_df = worker_cliques.unionAll(driver_df)
-    else:
-        cliques_df = worker_cliques
+        cliques_df = cliques_df.unionAll(driver_df)
+    stats = plan.stats
+    stats.merge(acc.value)
     n = stats.cliques + stats.gr_cliques
     return DistMceResult(cliques_df=cliques_df, stats=stats, n_cliques=n)

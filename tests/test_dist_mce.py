@@ -160,8 +160,9 @@ def test_repeated_runs_leave_no_broadcast_files(spark, social_pair):
 
 
 def test_one_kernel_job_per_run(spark, social_pair):
-    """One call runs two Spark jobs: the edge collect, and the kernel stage,
-    whose lazy checkpoint the counters' collect takes in the same job."""
+    """One call runs two Spark jobs: the edge collect, and the eager local
+    checkpoint of the kernel stage, whose tasks return their counters on an
+    accumulator."""
     edf, g = social_pair
     edf.count()  # the edge cache is in place, so its collect is one job
     sc = spark.sparkContext
@@ -173,6 +174,21 @@ def test_one_kernel_job_per_run(spark, social_pair):
         sc.setLocalProperty("spark.jobGroup.id", None)
     assert len(sc.statusTracker().getJobIdsForGroup(group)) == 2
     assert _dist_cliques(res) == run_named(g, "HBBMC++").cliques
+
+
+def test_result_is_the_checkpoint(spark, social_pair):
+    """The clique DataFrame is the checkpointed kernel output, with the
+    driver's GR cliques unioned in when there are any, so reading it re-runs
+    no kernel task."""
+    schema = spark.createDataFrame([], "clique string, size long").schema
+    gr_heavy = social_edges(300, 1, 3, caves=(4, 12, 4), core=(20, 0.4))
+    for edf, gr in ((social_pair[0], False), (edges_df(spark, gr_heavy), True)):
+        res = mce_distributed(spark, edf, "HBBMC++", num_partitions=2)
+        assert (res.stats.gr_cliques > 100) == gr
+        assert res.cliques_df.schema == schema
+        plan = res.cliques_df._jdf.queryExecution().executedPlan().toString()
+        assert ("Union" in plan) == gr
+        assert "MapInPandas" not in plan
 
 
 def test_broadcast_ships_no_planner_cliques(spark, monkeypatch):

@@ -18,8 +18,3 @@ def test_merge():
     assert (a.calls, a.et_plex, a.et_applied, a.cliques, a.root_branches, a.gr_cliques) == (
         6, 3, 2, 5, 10, 5
     )
-
-
-def test_dict_round_trip():
-    st = BranchStats(calls=5, et_plex=2, et_applied=1, cliques=3, root_branches=7, gr_cliques=2)
-    assert BranchStats.from_dict(st.as_dict()) == st
