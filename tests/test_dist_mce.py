@@ -176,13 +176,16 @@ def test_one_kernel_job_per_run(spark, social_pair):
     assert _dist_cliques(res) == run_named(g, "HBBMC++").cliques
 
 
+#: GR emits most of this input's cliques on the driver.
+GR_HEAVY = social_edges(300, 1, 3, caves=(4, 12, 4), core=(20, 0.4))
+
+
 def test_result_is_the_checkpoint(spark, social_pair):
     """The clique DataFrame is the checkpointed kernel output, with the
     driver's GR cliques unioned in when there are any, so reading it re-runs
     no kernel task."""
     schema = spark.createDataFrame([], "clique string, size long").schema
-    gr_heavy = social_edges(300, 1, 3, caves=(4, 12, 4), core=(20, 0.4))
-    for edf, gr in ((social_pair[0], False), (edges_df(spark, gr_heavy), True)):
+    for edf, gr in ((social_pair[0], False), (edges_df(spark, GR_HEAVY), True)):
         res = mce_distributed(spark, edf, "HBBMC++", num_partitions=2)
         assert (res.stats.gr_cliques > 100) == gr
         assert res.cliques_df.schema == schema
@@ -194,7 +197,7 @@ def test_result_is_the_checkpoint(spark, social_pair):
 def test_broadcast_ships_no_planner_cliques(spark, monkeypatch):
     """Tasks read neither GR's cliques nor the planner's counters, so the
     broadcast plan carries neither; the driver still adds both in."""
-    e = social_edges(300, 1, 3, caves=(4, 12, 4), core=(20, 0.4))
+    e = GR_HEAVY
     edf = edges_df(spark, e)
     shipped = []
     broadcast = SparkContext.broadcast
