@@ -28,14 +28,16 @@ clique of 2d + 1 vertices: with ``d > ω/2`` no branch reaches the kernel and
 the hybrid is pure EBBMC.
 
 The initial branch splits MCE into independent *root branches* along one
-*root order*: one per edge in rank order (hybrid; a maximal clique belongs
+*root order*, the config key ``root``: one branch per edge in an edge order
+(``"truss"``, ``"dgn"`` or ``"mdg"``: the hybrid; a maximal clique belongs
 to the branch of its rank-minimal edge), one per vertex in degeneracy order
-(vertex framework; the branch of its first vertex), or the single
-whole-graph branch (``root="global"``). A root's id is its position in that
-order. ``plan_roots`` computes the initial branch once and ``run_roots``
-runs any set of root ids in one sweep of the order, for both root kinds, so
-``run_mce`` runs every root in process and ``repro.dist.mce`` runs each
-Spark task's group of roots with the same code.
+(``"degeneracy"``: the vertex framework; the branch of its first vertex),
+or the single whole-graph branch (``"global"``). A root's id is its
+position in that order. ``plan_roots`` computes the initial branch once and
+``run_roots`` runs any set of root ids in one sweep of the order, for both
+root kinds, so ``run_mce`` runs every root in process and
+``repro.dist.mce`` runs each Spark task's group of roots with the same
+code.
 """
 from __future__ import annotations
 
@@ -47,7 +49,7 @@ from dataclasses import dataclass, fields
 from .kernels import KERNELS, Enumerator, kernel_fn
 from .localgraph import LocalGraph
 from .ordering import EDGE_ORDERS, Pair, degeneracy_order, edge_order_rank
-from .reduction import reduce_graph
+from .reduction import Reduction, reduce_graph
 from .stats import BranchStats
 
 
@@ -70,34 +72,28 @@ class MceRun:
 class MceConfig:
     """One run configuration; ``ALGORITHMS`` names the ones in the tables.
 
-    framework: ``"hybrid"`` (edge-oriented root, Table II's HBBMC) or
-    ``"vertex"`` (VBBMC). Setting a key the framework does not read is an
-    error.
-    kernel (hybrid/vertex): the vertex-oriented kernel
-    (``repro.core.kernels.KERNELS``).
-    root (vertex framework): ``"degeneracy"`` (BK_Degen-style initial
-    branching) or ``"global"`` (single root branch, BK_Pivot/BK_Ref-style).
-    edge_order (hybrid): ``"truss"``, ``"dgn"`` or ``"mdg"`` (Table VI).
-    d (hybrid): edge-oriented levels before the kernel takes over (Table IV);
-    any ``d > ω/2`` (ω the largest clique size) never hands over: pure EBBMC.
+    root: the root order, which picks the framework. An edge order
+    (``"truss"``, or Table VI's ``"dgn"`` and ``"mdg"``) is the hybrid
+    (Table II's HBBMC); ``"degeneracy"`` (BK_Degen-style initial branching)
+    or ``"global"`` (a single root branch, BK_Pivot/BK_Ref-style) is the
+    vertex framework (VBBMC).
+    kernel: the vertex-oriented kernel (``repro.core.kernels.KERNELS``).
+    d (edge roots only): edge-oriented levels before the kernel takes over
+    (Table IV); any ``d > ω/2`` (ω the largest clique size) never hands
+    over: pure EBBMC. Setting it under a vertex root is an error.
     et_t: early-termination threshold t (1, 2 or 3), 0 for none (Table V).
     gr: apply graph reduction first (True or False).
     """
 
-    framework: str = "hybrid"
+    root: str = "truss"
     kernel: str = "tomita"
-    root: str = "degeneracy"
-    edge_order: str = "truss"
     d: int = 1
     et_t: int = 3
     gr: bool = True
 
 
-#: Config keys each framework never reads.
-_UNREAD_KEYS: dict[str, tuple[str, ...]] = {
-    "hybrid": ("root",),
-    "vertex": ("d", "edge_order"),
-}
+#: The vertex framework's root orders; every other root is an edge order.
+_VERTEX_ROOTS = ("degeneracy", "global")
 
 
 def _is_int(x) -> bool:
@@ -107,7 +103,7 @@ def _is_int(x) -> bool:
 def resolve_config(name: str | None, overrides: dict) -> MceConfig:
     """The configuration of algorithm ``name`` (an ``ALGORITHMS`` key, or
     None for the ``MceConfig`` defaults) with ``overrides`` applied. An
-    unknown name, key or value, or a key the framework does not read, raises
+    unknown name, key or value, or a ``d`` under a vertex root, raises
     ``ValueError``, so a misconfigured run fails instead of running
     something else."""
     if name is None:
@@ -122,23 +118,18 @@ def resolve_config(name: str | None, overrides: dict) -> MceConfig:
         raise ValueError(f"unknown config keys {unknown}; one of {sorted(keys)}")
     merged = {**base, **overrides}
     cfg = MceConfig(**merged)
-    if cfg.framework not in ("hybrid", "vertex"):
-        raise ValueError(f"unknown framework {cfg.framework!r}")
-    if cfg.root not in ("degeneracy", "global"):
-        raise ValueError(f"unknown root {cfg.root!r}")
+    if cfg.root not in (*EDGE_ORDERS, *_VERTEX_ROOTS):
+        raise ValueError(f"unknown root {cfg.root!r}; one of {[*EDGE_ORDERS, *_VERTEX_ROOTS]}")
     if cfg.kernel not in KERNELS:
         raise ValueError(f"unknown kernel {cfg.kernel!r}; one of {sorted(KERNELS)}")
-    if cfg.edge_order not in EDGE_ORDERS:
-        raise ValueError(f"unknown edge order {cfg.edge_order!r}; one of {list(EDGE_ORDERS)}")
     if not _is_int(cfg.d) or cfg.d < 1:
         raise ValueError(f"d must be an int with d >= 1, not {cfg.d!r}")
     if not _is_int(cfg.et_t) or cfg.et_t not in (0, 1, 2, 3):
         raise ValueError(f"et_t must be 0 (no ET), 1, 2 or 3, not {cfg.et_t!r}")
     if not isinstance(cfg.gr, bool):
         raise ValueError(f"gr must be True or False, not {cfg.gr!r}")
-    unread = [k for k in _UNREAD_KEYS[cfg.framework] if k in merged]
-    if unread:
-        raise ValueError(f"the {cfg.framework} framework does not read config keys {unread}")
+    if cfg.root in _VERTEX_ROOTS and "d" in merged:
+        raise ValueError(f"d is not read under the vertex root {cfg.root!r}")
     return cfg
 
 
@@ -155,8 +146,8 @@ class RootPlan:
     config: MceConfig
     adj: dict[int, set[int]]  # the GR-reduced graph
     blocked: set[frozenset[int]]  # GR blocked sets (Enumerator.emit)
-    # The roots in sweep order: edges in rank order (hybrid), vertices in
-    # degeneracy order (degeneracy root), or None (global root).
+    # The roots in sweep order: edges in rank order (edge roots), vertices
+    # in degeneracy order (degeneracy root), or None (global root).
     order: list[Pair] | list[int] | None
     costs: list[int]  # costs[i]: balance cost of branch i
     cliques: list[tuple[int, ...]]  # found while planning: GR + root Eq.(3)
@@ -174,20 +165,19 @@ def plan_roots(g: LocalGraph, cfg: MceConfig) -> RootPlan:
     degree of an edge branch, the number of later neighbours of a degeneracy
     vertex branch.
     """
-    red = reduce_graph(g, enabled=cfg.gr)
+    red = reduce_graph(g) if cfg.gr else Reduction(reduced=g)
     adj = red.reduced.adj
     cliques = list(red.cliques)
     stats = BranchStats(gr_cliques=len(red.cliques))
-    if cfg.framework == "vertex":
-        if cfg.root == "global":
-            order = None
-            costs = [len(adj)]
-        else:
-            dg = degeneracy_order(red.reduced)
-            order = dg.order
-            costs = [sum(1 for u in adj[v] if dg.pos[u] > i) for i, v in enumerate(order)]
+    if cfg.root == "global":
+        order = None
+        costs = [len(adj)]
+    elif cfg.root == "degeneracy":
+        dg = degeneracy_order(red.reduced)
+        order = dg.order
+        costs = [sum(1 for u in adj[v] if dg.pos[u] > i) for i, v in enumerate(order)]
     else:
-        order = edge_order_rank(red.reduced, cfg.edge_order)
+        order = edge_order_rank(red.reduced, cfg.root)
         costs = [min(len(adj[u]), len(adj[v])) for u, v in order]
         # The initial edge-oriented branch is one call, and its Eq.(3)
         # branches are the isolated vertices (GR, when on, peels them all
@@ -236,7 +226,7 @@ def run_roots(enum: Enumerator, plan: RootPlan, branch_ids: Iterable[int]) -> No
         return
     # Only edge levels below d sort their compat edges by rank.
     rank = {e: i for i, e in enumerate(plan.order)} if cfg.d > 1 else None
-    vertex_roots = cfg.framework == "vertex"
+    vertex_roots = cfg.root == "degeneracy"
     # Sweep the order, deleting each root once it is passed: at root i, rem
     # holds exactly the graph of the roots after i, and it does not change
     # while root i runs. Every vertex is a candidate of the initial branch
@@ -339,20 +329,20 @@ def run_mce(g: LocalGraph, *, collect: bool = True, **config) -> MceRun:
 #: Named configurations for every algorithm that appears in Tables II–VI.
 ALGORITHMS: dict[str, dict] = {
     # Table II: ours vs. the four state-of-the-art VBBMC+GR baselines [15].
-    "HBBMC++": dict(framework="hybrid", kernel="tomita", d=1, et_t=3, gr=True),
-    "RRef": dict(framework="vertex", kernel="ref", root="global", et_t=0, gr=True),
-    "RDegen": dict(framework="vertex", kernel="tomita", root="degeneracy", et_t=0, gr=True),
-    "RRcd": dict(framework="vertex", kernel="rcd", root="degeneracy", et_t=0, gr=True),
-    "RFac": dict(framework="vertex", kernel="fac", root="degeneracy", et_t=0, gr=True),
+    "HBBMC++": dict(root="truss", kernel="tomita", d=1, et_t=3, gr=True),
+    "RRef": dict(root="global", kernel="ref", et_t=0, gr=True),
+    "RDegen": dict(root="degeneracy", kernel="tomita", et_t=0, gr=True),
+    "RRcd": dict(root="degeneracy", kernel="rcd", et_t=0, gr=True),
+    "RFac": dict(root="degeneracy", kernel="fac", et_t=0, gr=True),
     # Table III: ablation + hybrid with other VBBMC kernels.
-    "HBBMC+": dict(framework="hybrid", kernel="tomita", d=1, et_t=0, gr=True),
-    "Ref++": dict(framework="hybrid", kernel="ref", d=1, et_t=3, gr=True),
-    "Rcd++": dict(framework="hybrid", kernel="rcd", d=1, et_t=3, gr=True),
-    "Fac++": dict(framework="hybrid", kernel="fac", d=1, et_t=3, gr=True),
+    "HBBMC+": dict(root="truss", kernel="tomita", d=1, et_t=0, gr=True),
+    "Ref++": dict(root="truss", kernel="ref", d=1, et_t=3, gr=True),
+    "Rcd++": dict(root="truss", kernel="rcd", d=1, et_t=3, gr=True),
+    "Fac++": dict(root="truss", kernel="fac", d=1, et_t=3, gr=True),
     # Table VI: initial-branch ordering variants (all with ET + GR).
-    "VBBMC-dgn": dict(framework="vertex", kernel="tomita", root="degeneracy", et_t=3, gr=True),
-    "HBBMC-dgn": dict(framework="hybrid", kernel="tomita", d=1, et_t=3, gr=True, edge_order="dgn"),
-    "HBBMC-mdg": dict(framework="hybrid", kernel="tomita", d=1, et_t=3, gr=True, edge_order="mdg"),
+    "VBBMC-dgn": dict(root="degeneracy", kernel="tomita", et_t=3, gr=True),
+    "HBBMC-dgn": dict(root="dgn", kernel="tomita", d=1, et_t=3, gr=True),
+    "HBBMC-mdg": dict(root="mdg", kernel="tomita", d=1, et_t=3, gr=True),
 }
 
 

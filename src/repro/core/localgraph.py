@@ -40,9 +40,6 @@ class LocalGraph:
             adj.setdefault(v, set()).add(u)
         return cls(adj)
 
-    def copy(self) -> "LocalGraph":
-        return LocalGraph({v: set(nbrs) for v, nbrs in self.adj.items()})
-
     # -- basic properties -------------------------------------------------
     @property
     def n(self) -> int:

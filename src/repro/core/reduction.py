@@ -44,12 +44,8 @@ class Reduction:
     removed: int = 0
 
 
-def reduce_graph(g: LocalGraph, *, enabled: bool = True) -> Reduction:
-    """Apply GR without modifying ``g``; with ``enabled=False`` returns a
-    copy of the graph (so runners can treat GR uniformly as a pipeline
-    stage)."""
-    if not enabled:
-        return Reduction(reduced=g.copy())
+def reduce_graph(g: LocalGraph) -> Reduction:
+    """Apply GR without modifying ``g``."""
     adj = g.adj
     deg = {v: len(nbrs) for v, nbrs in adj.items()}
     blocked: set[frozenset[int]] = set()

@@ -5,10 +5,10 @@ Xu et al. [17]):
 
 1. The driver collects the (small) canonical edge list and calls
    ``repro.core.hbbmc.plan_roots``: graph reduction (GR), the exact ordering
-   peel (the edge order for the hybrid framework, the degeneracy order for
-   the vertex framework), the balance cost of each root branch, and the
-   cliques the initial branch finds by itself (GR's and the isolated
-   vertices).
+   peel of the config's ``root`` (an edge order for the hybrid framework,
+   the degeneracy order for the vertex framework), the balance cost of each
+   root branch, and the cliques the initial branch finds by itself (GR's
+   and the isolated vertices).
 2. The driver deals the root branch ids round-robin, in descending order of
    balance cost, into one group per task, so every task gets a balanced mix
    of heavy and light branches. There is one task per slot of the session
@@ -85,6 +85,13 @@ def _drop_zip_finders() -> None:
         del cache[path]
 
 
+def _clique_frame(cliques: list[tuple[int, ...]]) -> pd.DataFrame:
+    """Rows of ``_CLIQUE_SCHEMA`` for ``cliques``."""
+    return pd.DataFrame(
+        {"clique": [",".join(map(str, c)) for c in cliques], "size": [len(c) for c in cliques]}
+    )
+
+
 class _StatsParam(AccumulatorParam):
     """Adds the kernel tasks' ``BranchStats`` up on the driver."""
 
@@ -112,8 +119,8 @@ def mce_distributed(
     **overrides,
 ) -> DistMceResult:
     """Run a named algorithm (Tables II–VI labels) distributed by root
-    branch. ``overrides`` tweak the configuration (``d``, ``et_t``, ``gr``,
-    ``edge_order`` …) exactly like ``repro.core.hbbmc.run_named``.
+    branch. ``overrides`` tweak the configuration (``root``, ``d``,
+    ``et_t``, ``gr`` …) exactly like ``repro.core.hbbmc.run_named``.
     ``num_partitions`` is the number of kernel tasks (default: the session's
     task slots), never more than the number of root branches."""
     if num_partitions is not None and (
@@ -142,9 +149,7 @@ def mce_distributed(
                 enum = plan.enumerator()
                 run_roots(enum, plan, groups[t])
                 acc.add(enum.stats)
-                yield pd.DataFrame(
-                    {"clique": [",".join(map(str, c)) for c in enum.out], "size": [len(c) for c in enum.out]}
-                )
+                yield _clique_frame(enum.out)
         _drop_zip_finders()
 
     # The eager checkpoint is the one job that runs the kernels; its output
@@ -158,9 +163,9 @@ def mce_distributed(
     finally:
         bc.destroy()
     if plan.cliques:
-        driver_df = spark.createDataFrame(
-            [(",".join(map(str, c)), len(c)) for c in plan.cliques], _CLIQUE_SCHEMA
-        )
+        # From pandas, not a Python list: with Arrow on, the rows travel as
+        # one Arrow batch instead of a pickled PythonRDD.
+        driver_df = spark.createDataFrame(_clique_frame(plan.cliques), _CLIQUE_SCHEMA)
         cliques_df = cliques_df.unionAll(driver_df)
     stats = plan.stats
     stats.merge(acc.value)

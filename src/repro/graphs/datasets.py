@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core.localgraph import LocalGraph
 from ..core.ordering import degeneracy_order, truss_order
-from .generators import generate, to_local
+from .generators import social_edges, to_local
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,8 @@ class Surrogate:
     name: str  # paper's short name (Table I)
     full_name: str  # paper's graph name
     category: str
-    model: str
-    bench: dict  # generator params at bench scale
-    test: dict  # generator params at test scale
+    bench: dict  # social_edges params at bench scale
+    test: dict  # social_edges params at test scale
 
 
 #: Paper Table I: |V|, |E|, delta, tau, rho for each real graph.
@@ -60,10 +59,6 @@ PAPER_STATS: dict[str, dict] = {
 }
 
 
-def _s(name, full, cat, model, bench, test) -> Surrogate:
-    return Surrogate(name, full, cat, model, bench, test)
-
-
 #: The 16 surrogates, in Table I order. Clique-poor mesh-like graphs (NA,
 #: SH, DE) keep near-complete caves (tiny rm, few maximal cliques, low ET
 #: ratio, as in the paper); clique-rich social/web graphs carry 2-plex caves
@@ -72,56 +67,56 @@ def _s(name, full, cat, model, bench, test) -> Surrogate:
 SURROGATES: dict[str, Surrogate] = {
     s.name: s
     for s in [
-        _s("NA", "nasasrb", "Social Network", "social",
-           dict(n=600, m_attach=4, seed=11, caves=(40, 14, 3), core=(110, 0.28)),
-           dict(n=120, m_attach=3, seed=11, caves=(8, 10, 2), core=(40, 0.3))),
-        _s("FB", "fbwosn", "Social Network", "social",
-           dict(n=1000, m_attach=4, seed=12, caves=(25, 20, 9), core=(120, 0.28)),
-           dict(n=160, m_attach=4, seed=12, caves=(4, 12, 4), core=(45, 0.3))),
-        _s("WE", "websk", "Web Graph", "social",
-           dict(n=700, m_attach=3, seed=13, p_triad=0.85, caves=(14, 18, 8)),
-           dict(n=140, m_attach=3, seed=13, p_triad=0.85, caves=(3, 10, 3))),
-        _s("WK", "wikitrust", "Web Graph", "social",
-           dict(n=900, m_attach=4, seed=14, p_triad=0.5, caves=(22, 18, 8), core=(100, 0.3)),
-           dict(n=150, m_attach=3, seed=14, p_triad=0.5, caves=(3, 10, 3), core=(40, 0.3))),
-        _s("SH", "shipsec5", "Social Network", "social",
-           dict(n=800, m_attach=3, seed=15, caves=(40, 16, 6), core=(90, 0.3)),
-           dict(n=150, m_attach=3, seed=15, caves=(8, 9, 2), core=(35, 0.32))),
-        _s("ST", "stanford", "Social Network", "social",
-           dict(n=1100, m_attach=4, seed=16, p_triad=0.4, caves=(25, 20, 8), core=(120, 0.3)),
-           dict(n=170, m_attach=3, seed=16, p_triad=0.4, caves=(4, 11, 4), core=(45, 0.3))),
-        _s("DB", "dblp", "Collaboration", "social",
-           dict(n=900, m_attach=3, seed=17, caves=(50, 14, 6)),
-           dict(n=170, m_attach=3, seed=17, caves=(10, 7, 2))),
-        _s("DE", "dielfilter", "Other", "social",
-           dict(n=700, m_attach=6, seed=18, caves=(60, 16, 2), core=(140, 0.33)),
-           dict(n=130, m_attach=4, seed=18, caves=(9, 11, 1), core=(45, 0.35))),
-        _s("DG", "digg", "Social Network", "social",
-           dict(n=1600, m_attach=5, seed=19, caves=(40, 24, 11), core=(150, 0.3),
-                bicore=(110, 110, 0.5)),
-           dict(n=180, m_attach=4, seed=19, caves=(5, 14, 6), core=(50, 0.3))),
-        _s("YO", "youtube", "Social Network", "social",
-           dict(n=2000, m_attach=3, seed=20, caves=(30, 16, 7)),
-           dict(n=220, m_attach=3, seed=20, caves=(5, 10, 3))),
-        _s("PO", "pokec", "Social Network", "social",
-           dict(n=1500, m_attach=5, seed=21, caves=(28, 20, 9), core=(130, 0.28)),
-           dict(n=200, m_attach=4, seed=21, caves=(4, 12, 4), core=(45, 0.3))),
-        _s("SK", "skitter", "Web Graph", "social",
-           dict(n=1400, m_attach=4, seed=22, p_triad=0.4, caves=(30, 20, 9), core=(140, 0.28)),
-           dict(n=190, m_attach=4, seed=22, p_triad=0.4, caves=(4, 12, 4), core=(45, 0.3))),
-        _s("CN", "wikicn", "Web Graph", "social",
-           dict(n=1300, m_attach=4, seed=23, p_triad=0.3, caves=(30, 20, 9), core=(150, 0.3),
-                bicore=(90, 90, 0.45)),
-           dict(n=190, m_attach=4, seed=23, p_triad=0.3, caves=(4, 12, 5), core=(50, 0.3))),
-        _s("BA", "baidu", "Web Graph", "social",
-           dict(n=1400, m_attach=5, seed=24, p_triad=0.3, caves=(25, 18, 8), core=(130, 0.28)),
-           dict(n=190, m_attach=4, seed=24, p_triad=0.3, caves=(4, 11, 4), core=(45, 0.3))),
-        _s("OR", "orkut", "Social Network", "social",
-           dict(n=1500, m_attach=8, seed=25, caves=(50, 26, 12), core=(170, 0.3)),
-           dict(n=170, m_attach=5, seed=25, caves=(5, 14, 6), core=(55, 0.3))),
-        _s("SO", "socfba", "Social Network", "social",
-           dict(n=1500, m_attach=4, seed=26, caves=(28, 18, 8), core=(120, 0.28)),
-           dict(n=200, m_attach=4, seed=26, caves=(4, 11, 4), core=(45, 0.3))),
+        Surrogate("NA", "nasasrb", "Social Network",
+                  dict(n=600, m_attach=4, seed=11, caves=(40, 14, 3), core=(110, 0.28)),
+                  dict(n=120, m_attach=3, seed=11, caves=(8, 10, 2), core=(40, 0.3))),
+        Surrogate("FB", "fbwosn", "Social Network",
+                  dict(n=1000, m_attach=4, seed=12, caves=(25, 20, 9), core=(120, 0.28)),
+                  dict(n=160, m_attach=4, seed=12, caves=(4, 12, 4), core=(45, 0.3))),
+        Surrogate("WE", "websk", "Web Graph",
+                  dict(n=700, m_attach=3, seed=13, p_triad=0.85, caves=(14, 18, 8)),
+                  dict(n=140, m_attach=3, seed=13, p_triad=0.85, caves=(3, 10, 3))),
+        Surrogate("WK", "wikitrust", "Web Graph",
+                  dict(n=900, m_attach=4, seed=14, p_triad=0.5, caves=(22, 18, 8), core=(100, 0.3)),
+                  dict(n=150, m_attach=3, seed=14, p_triad=0.5, caves=(3, 10, 3), core=(40, 0.3))),
+        Surrogate("SH", "shipsec5", "Social Network",
+                  dict(n=800, m_attach=3, seed=15, caves=(40, 16, 6), core=(90, 0.3)),
+                  dict(n=150, m_attach=3, seed=15, caves=(8, 9, 2), core=(35, 0.32))),
+        Surrogate("ST", "stanford", "Social Network",
+                  dict(n=1100, m_attach=4, seed=16, p_triad=0.4, caves=(25, 20, 8), core=(120, 0.3)),
+                  dict(n=170, m_attach=3, seed=16, p_triad=0.4, caves=(4, 11, 4), core=(45, 0.3))),
+        Surrogate("DB", "dblp", "Collaboration",
+                  dict(n=900, m_attach=3, seed=17, caves=(50, 14, 6)),
+                  dict(n=170, m_attach=3, seed=17, caves=(10, 7, 2))),
+        Surrogate("DE", "dielfilter", "Other",
+                  dict(n=700, m_attach=6, seed=18, caves=(60, 16, 2), core=(140, 0.33)),
+                  dict(n=130, m_attach=4, seed=18, caves=(9, 11, 1), core=(45, 0.35))),
+        Surrogate("DG", "digg", "Social Network",
+                  dict(n=1600, m_attach=5, seed=19, caves=(40, 24, 11), core=(150, 0.3),
+                       bicore=(110, 110, 0.5)),
+                  dict(n=180, m_attach=4, seed=19, caves=(5, 14, 6), core=(50, 0.3))),
+        Surrogate("YO", "youtube", "Social Network",
+                  dict(n=2000, m_attach=3, seed=20, caves=(30, 16, 7)),
+                  dict(n=220, m_attach=3, seed=20, caves=(5, 10, 3))),
+        Surrogate("PO", "pokec", "Social Network",
+                  dict(n=1500, m_attach=5, seed=21, caves=(28, 20, 9), core=(130, 0.28)),
+                  dict(n=200, m_attach=4, seed=21, caves=(4, 12, 4), core=(45, 0.3))),
+        Surrogate("SK", "skitter", "Web Graph",
+                  dict(n=1400, m_attach=4, seed=22, p_triad=0.4, caves=(30, 20, 9), core=(140, 0.28)),
+                  dict(n=190, m_attach=4, seed=22, p_triad=0.4, caves=(4, 12, 4), core=(45, 0.3))),
+        Surrogate("CN", "wikicn", "Web Graph",
+                  dict(n=1300, m_attach=4, seed=23, p_triad=0.3, caves=(30, 20, 9), core=(150, 0.3),
+                       bicore=(90, 90, 0.45)),
+                  dict(n=190, m_attach=4, seed=23, p_triad=0.3, caves=(4, 12, 5), core=(50, 0.3))),
+        Surrogate("BA", "baidu", "Web Graph",
+                  dict(n=1400, m_attach=5, seed=24, p_triad=0.3, caves=(25, 18, 8), core=(130, 0.28)),
+                  dict(n=190, m_attach=4, seed=24, p_triad=0.3, caves=(4, 11, 4), core=(45, 0.3))),
+        Surrogate("OR", "orkut", "Social Network",
+                  dict(n=1500, m_attach=8, seed=25, caves=(50, 26, 12), core=(170, 0.3)),
+                  dict(n=170, m_attach=5, seed=25, caves=(5, 14, 6), core=(55, 0.3))),
+        Surrogate("SO", "socfba", "Social Network",
+                  dict(n=1500, m_attach=4, seed=26, caves=(28, 18, 8), core=(120, 0.28)),
+                  dict(n=200, m_attach=4, seed=26, caves=(4, 11, 4), core=(45, 0.3))),
     ]
 }
 
@@ -131,8 +126,7 @@ DATASET_NAMES: list[str] = list(SURROGATES)
 def load_edges(name: str, scale: str = "bench") -> np.ndarray:
     """Edge array for a surrogate at the given scale ('bench' or 'test')."""
     s = SURROGATES[name]
-    params = dict(s.bench if scale == "bench" else s.test)
-    return generate(s.model, **params)
+    return social_edges(**(s.bench if scale == "bench" else s.test))
 
 
 def load_local(name: str, scale: str = "bench") -> LocalGraph:

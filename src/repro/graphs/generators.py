@@ -222,21 +222,3 @@ def to_local(edges: np.ndarray, n: int | None = None) -> LocalGraph:
         (tuple(e) for e in edges.tolist()),
         vertices=range(n) if n is not None else None,
     )
-
-
-GENERATORS = {
-    "er": er_edges,
-    "ba": ba_edges,
-    "plc": powerlaw_cluster_edges,
-    "caveman": caveman_edges,
-    "social": social_edges,
-}
-
-
-def generate(model: str, **params) -> np.ndarray:
-    """Dispatch by model name; parameters are generator-specific."""
-    try:
-        fn = GENERATORS[model]
-    except KeyError:
-        raise ValueError(f"unknown model {model!r}; one of {sorted(GENERATORS)}") from None
-    return fn(**params)

@@ -63,5 +63,5 @@ def test_condition_matches_paper_on_paper_stats():
 
 def test_surrogate_metadata_complete():
     for s in SURROGATES.values():
-        assert s.category and s.full_name and s.model == "social"
+        assert s.category and s.full_name
         assert set(s.bench) >= {"n", "m_attach", "seed"}

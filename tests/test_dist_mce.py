@@ -77,13 +77,13 @@ BAD_CONFIGS = [
     ("d=True", "HBBMC++", dict(d=True), "d must be"),
     ("d=1.5", "HBBMC++", dict(d=1.5), "d must be"),
     ("d=str", "HBBMC++", dict(d="2"), "d must be"),
-    ("edge_order", "RDegen", dict(edge_order="bogus"), "unknown edge order"),
+    ("edge_order", "RDegen", dict(root="bogus"), "unknown root"),
     ("gr", "HBBMC++", dict(gr="no"), "gr must be"),
-    ("vertex-d", "RDegen", dict(d=3), r"vertex framework does not read config keys \['d'\]"),
-    ("vertex-edge_order", "RDegen", dict(edge_order="mdg"), r"vertex .*\['edge_order'\]"),
-    ("hybrid-root", "HBBMC++", dict(root="global"), r"hybrid .*\['root'\]"),
-    ("edge-d-kernel", "HBBMC++", dict(framework="edge", kernel="rcd", d=4), "unknown framework"),
-    ("edge-root", "RDegen", dict(framework="edge"), "unknown framework"),
+    ("vertex-d", "RDegen", dict(d=3), "d is not read under the vertex root 'degeneracy'"),
+    ("vertex-edge_order", "RDegen", dict(edge_order="mdg"), r"unknown config keys \['edge_order'\]"),
+    ("hybrid-root", "HBBMC++", dict(root="global"), "d is not read under the vertex root 'global'"),
+    ("edge-d-kernel", "HBBMC++", dict(framework="edge", kernel="rcd", d=4), r"unknown config keys \['framework'\]"),
+    ("edge-root", "RDegen", dict(framework="edge"), r"unknown config keys \['framework'\]"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Integration fuzz of the frameworks: HBBMC (hybrid), EBBMC (the hybrid
 with a depth no branch reaches), the named algorithm registry, parameter
 sweeps, and counter invariants."""
+import copy
 import os
 import random
 import subprocess
@@ -76,7 +77,7 @@ def test_et_threshold_sweep(t, gname, make):
 @pytest.mark.parametrize("gname,make", GRAPHS)
 def test_pure_ebbmc(gname, make):
     g = make(0)
-    r = run_mce(g, framework="hybrid", d=EBBMC_D, et_t=0, gr=False)
+    r = run_mce(g, d=EBBMC_D, et_t=0, gr=False)
     assert r.cliques == reference_mce(g)
 
 
@@ -84,7 +85,7 @@ def test_pure_ebbmc(gname, make):
 @pytest.mark.parametrize("seed", range(3))
 def test_alternative_edge_orders(edge_order, seed):
     g = to_local(er_edges(35, 160, seed), 35)
-    r = run_mce(g, framework="hybrid", edge_order=edge_order, et_t=3, gr=True)
+    r = run_mce(g, root=edge_order, et_t=3, gr=True)
     assert r.cliques == reference_mce(g)
 
 
@@ -95,6 +96,18 @@ def test_gr_toggle(gr, gname, make):
     assert run_named(g, "HBBMC++", gr=gr).cliques == reference_mce(g)
 
 
+@pytest.mark.parametrize("gr", [False, True])
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_run_leaves_the_input_graph_untouched(name, gr):
+    """Without GR the plan runs on the caller's adjacency itself, so no
+    stage of any algorithm may modify it."""
+    g = dict(GRAPHS)["social"](0)
+    g.adj.update({1000: {1001}, 1001: {1000}, 1002: set()})  # pendant edge, isolated vertex
+    before = copy.deepcopy(g.adj)
+    run_named(g, name, gr=gr)
+    assert g.adj == before
+
+
 def test_isolated_vertices_and_odd_cliques():
     """Eq.(3) branches: isolated vertices are 1-cliques; odd cliques pass
     through zero-degree candidates in edge branches."""
@@ -102,7 +115,7 @@ def test_isolated_vertices_and_odd_cliques():
     ref = reference_mce(g)
     assert any(len(c) == 1 for c in ref)
     for d in (1, EBBMC_D):
-        r = run_mce(g, framework="hybrid", d=d, et_t=0, gr=False)
+        r = run_mce(g, d=d, et_t=0, gr=False)
         assert r.cliques == ref
 
 
@@ -169,7 +182,7 @@ def test_hybrid_rejects_bad_depth():
     from repro.core.localgraph import LocalGraph
 
     with pytest.raises(ValueError, match="d >= 1"):
-        run_mce(LocalGraph.from_edges([(0, 1)]), framework="hybrid", d=0)
+        run_mce(LocalGraph.from_edges([(0, 1)]), d=0)
 
 
 def test_collect_false_counts_only():
@@ -317,7 +330,7 @@ def test_counters_pinned_gr_heavy():
 
 SPLIT_CONFIGS = [
     *[
-        pytest.param("HBBMC++", {"d": d, "edge_order": eo}, id=f"hybrid-d{d}-{eo}")
+        pytest.param("HBBMC++", {"d": d, "root": eo}, id=f"hybrid-d{d}-{eo}")
         for d in (1, 2)
         for eo in EDGE_ORDERS
     ],
@@ -376,7 +389,7 @@ def test_deep_clique_raises_recursion_limit():
         "from repro.core.hbbmc import run_mce; "
         "from repro.core.localgraph import LocalGraph; "
         "g = LocalGraph.from_edges(itertools.combinations(range(400), 2)); "
-        "r = run_mce(g, framework='vertex', root='global', et_t=0, gr=False); "
+        "r = run_mce(g, root='global', et_t=0, gr=False); "
         "print(r.cliques == [tuple(range(400))])"
     )
     assert _fresh_python(code) == "True"

@@ -21,9 +21,4 @@ def test_job_runs_and_prints_rows(table):
     lines = [l for l in out.stdout.splitlines() if l.strip()]
     assert len(lines) >= 2  # header + one dataset row
     assert "NA" in out.stdout
-
-
-def test_job_markdown_flag():
-    out = run_job("--table", "1", "--scale", "test", "--datasets", "NA", "--markdown")
-    assert out.returncode == 0
     assert out.stdout.lstrip().startswith("| dataset")

@@ -31,9 +31,7 @@ def test_kernel_vertex_framework_matches_reference(kernel, gname, make, seed):
     ref = reference_mce(g)
     for root in ("degeneracy", "global"):
         for et_t in (0, 3):
-            r = run_mce(
-                g, framework="vertex", kernel=kernel, root=root, et_t=et_t, gr=False
-            )
+            r = run_mce(g, root=root, kernel=kernel, et_t=et_t, gr=False)
             assert r.cliques == ref, f"{kernel}/{root}/t={et_t}"
 
 
@@ -46,7 +44,7 @@ def test_ref_and_tomita_run_the_same_search():
             for root in ("degeneracy", "global"):
                 for et_t in (0, 3):
                     runs = [
-                        run_mce(g, framework="vertex", kernel=k, root=root, et_t=et_t, gr=False)
+                        run_mce(g, root=root, kernel=k, et_t=et_t, gr=False)
                         for k in ("ref", "tomita")
                     ]
                     where = f"{gname}/{seed}/{root}/t={et_t}"
@@ -129,6 +127,6 @@ def test_single_candidate_fast_path_maximality():
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_stats_call_counting_positive(kernel):
     g = to_local(er_edges(20, 60, 0), 20)
-    r = run_mce(g, framework="vertex", kernel=kernel, et_t=0, gr=False)
+    r = run_mce(g, root="degeneracy", kernel=kernel, et_t=0, gr=False)
     assert r.stats.calls > 0
     assert r.stats.cliques == len(r.cliques)

@@ -46,12 +46,6 @@ def test_has_edge(tri):
     assert not tri.has_edge(0, 99)
 
 
-def test_copy_is_independent(tri):
-    c = tri.copy()
-    c.adj[0].discard(1)
-    assert tri.adj[0] == {1, 2} and c.adj[0] == {2}
-
-
 def test_density(tri):
     assert tri.density() == pytest.approx(1.0)
     assert LocalGraph({}).density() == 0.0

@@ -31,7 +31,7 @@ def test_hbbmcpp_matches_reference(edges):
 @settings(max_examples=80, deadline=None)
 def test_vertex_kernels_match_reference(edges, kernel):
     g = build(edges)
-    r = run_mce(g, framework="vertex", kernel=kernel, et_t=3, gr=True)
+    r = run_mce(g, root="degeneracy", kernel=kernel, et_t=3, gr=True)
     assert r.cliques == reference_mce(g)
 
 
@@ -46,5 +46,5 @@ def test_depth_sweep_matches_reference(edges, d):
 @settings(max_examples=60, deadline=None)
 def test_pure_ebbmc_matches_reference(edges):
     g = build(edges)
-    r = run_mce(g, framework="hybrid", d=EBBMC_D, et_t=0, gr=False)
+    r = run_mce(g, d=EBBMC_D, et_t=0, gr=False)
     assert r.cliques == reference_mce(g)

@@ -44,13 +44,6 @@ def test_reduction_on_denser_graphs(seed):
     assert full_output(g, red) == reference_mce(g)
 
 
-def test_disabled_reduction_is_identity():
-    g = to_local(er_edges(30, 60, 0), 30)
-    red = reduce_graph(g, enabled=False)
-    assert red.removed == 0 and red.cliques == [] and red.blocked == set()
-    assert red.reduced.adj == g.adj
-
-
 def test_isolated_vertex():
     g = LocalGraph.from_edges([], vertices=[7])
     red = reduce_graph(g)
