@@ -346,7 +346,7 @@ FOOTER = """## Summary of shape reproduction
 
 | Paper claim | Status here |
 |---|---|
-| Maximal clique sets identical across all 12 algorithm configurations | ✅ clique counts compared in every table run; clique sets checked against the reference BK in the 778 tier-1 tests (`tests/`, test scale) |
+| Maximal clique sets identical across all 12 algorithm configurations | ✅ clique counts compared in every table run; clique sets checked against the reference BK in the 800 tier-1 tests (`tests/`, test scale) |
 | τ < δ on all graphs; condition δ≥max(3,τ+3lnρ/ln3) holds for most | ✅ 13/16 surrogates (paper: 13/16 of these graphs) |
 | HBBMC++ beats VBBMC baselines | ⚠️ reproduced in #calls (fewest branches on most datasets); **inverted in wall time** on the Python substrate (flat per-call cost hides branch-width savings; see Table II note) |
 | ET (t=3) reduces branches and time; larger t better | ✅ #calls monotone in t on ~all datasets; time gains concentrate on clique-heavy graphs (DG/OR/CN), as in the paper's big graphs |

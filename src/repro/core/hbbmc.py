@@ -175,7 +175,7 @@ def plan_roots(g: LocalGraph, cfg: MceConfig) -> RootPlan:
     elif cfg.root == "degeneracy":
         dg = degeneracy_order(red.reduced)
         order = dg.order
-        costs = [sum(1 for u in adj[v] if dg.pos[u] > i) for i, v in enumerate(order)]
+        costs = dg.later
     else:
         order = edge_order_rank(red.reduced, cfg.root)
         costs = [min(len(adj[u]), len(adj[v])) for u, v in order]

@@ -31,10 +31,12 @@ Pair = tuple[int, int]
 
 @dataclass(frozen=True)
 class DegeneracyResult:
-    """Degeneracy peel output: the order, per-vertex position, and delta."""
+    """Degeneracy peel output: the order, per-vertex position, each
+    vertex's number of later neighbours (in order), and delta."""
 
     order: list[int]
     pos: dict[int, int]
+    later: list[int]
     delta: int
 
 
@@ -48,6 +50,9 @@ def degeneracy_order(g: LocalGraph) -> DegeneracyResult:
     heapq.heapify(heap)
     removed: set[int] = set()
     order: list[int] = []
+    # v's degree when it is popped counts exactly its unremoved, i.e. later,
+    # neighbours.
+    later: list[int] = []
     delta = 0
     while heap:
         d, v = heapq.heappop(heap)
@@ -55,13 +60,14 @@ def degeneracy_order(g: LocalGraph) -> DegeneracyResult:
             continue  # stale entry
         removed.add(v)
         order.append(v)
+        later.append(d)
         delta = max(delta, d)
         for u in g.adj[v]:
             if u not in removed:
                 deg[u] -= 1
                 heapq.heappush(heap, (deg[u], u))
     pos = {v: i for i, v in enumerate(order)}
-    return DegeneracyResult(order=order, pos=pos, delta=delta)
+    return DegeneracyResult(order=order, pos=pos, later=later, delta=delta)
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,13 @@
 Architecture (DESIGN.md §2, the standard distributed-MCE layout of e.g.
 Xu et al. [17]):
 
-1. The driver collects the (small) canonical edge list and calls
-   ``repro.core.hbbmc.plan_roots``: graph reduction (GR), the exact ordering
-   peel of the config's ``root`` (an edge order for the hybrid framework,
-   the degeneracy order for the vertex framework), the balance cost of each
-   root branch, and the cliques the initial branch finds by itself (GR's
-   and the isolated vertices).
+1. The driver collects the (small) edge list with ``to_local``, which
+   canonicalizes it (the rows may come in either orientation, repeated, or
+   as self-loops), and calls ``repro.core.hbbmc.plan_roots``: graph
+   reduction (GR), the exact ordering peel of the config's ``root`` (an
+   edge order for the hybrid framework, the degeneracy order for the vertex
+   framework), the balance cost of each root branch, and the cliques the
+   initial branch finds by itself (GR's and the isolated vertices).
 2. The driver deals the root branch ids round-robin, in descending order of
    balance cost, into one group per task, so every task gets a balanced mix
    of heavy and light branches. There is one task per slot of the session
@@ -23,7 +24,7 @@ Xu et al. [17]):
    group's largest id — emits one ``(clique, size)`` row per maximal clique
    (the clique as comma-joined vertex ids, a string, so results stay
    orderable/joinable), and adds its ``BranchStats`` to a per-call
-   accumulator. No shuffle precedes this stage, so adaptive query execution
+   accumulator. The job runs no shuffle at all, so adaptive query execution
    cannot coalesce the tasks into fewer partitions. Each task ends by
    dropping the zip finders from ``sys.path_importer_cache``
    (``_drop_zip_finders``): PySpark calls ``importlib.invalidate_caches()``
@@ -53,7 +54,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import pandas as pd
-from pyspark.accumulators import AccumulatorParam
+from pyspark.accumulators import AccumulatorParam, _accumulatorRegistry
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import LongType, StringType, StructField, StructType
 
@@ -119,8 +120,10 @@ def mce_distributed(
     **overrides,
 ) -> DistMceResult:
     """Run a named algorithm (Tables II–VI labels) distributed by root
-    branch. ``overrides`` tweak the configuration (``root``, ``d``,
-    ``et_t``, ``gr`` …) exactly like ``repro.core.hbbmc.run_named``.
+    branch. ``edges`` has long columns ``src`` and ``dst``; an edge may come
+    in either orientation, repeated, or as a self-loop. ``overrides`` tweak
+    the configuration (``root``, ``d``, ``et_t``, ``gr`` …) exactly like
+    ``repro.core.hbbmc.run_named``.
     ``num_partitions`` is the number of kernel tasks (default: the session's
     task slots), never more than the number of root branches."""
     if num_partitions is not None and (
@@ -169,5 +172,9 @@ def mce_distributed(
         cliques_df = cliques_df.unionAll(driver_df)
     stats = plan.stats
     stats.merge(acc.value)
+    # PySpark's private driver-side registry keeps every accumulator until
+    # the session stops; the checkpoint job has merged all of this one's
+    # updates, so nothing reads it again.
+    _accumulatorRegistry.pop(acc.aid, None)
     n = stats.cliques + stats.gr_cliques
     return DistMceResult(cliques_df=cliques_df, stats=stats, n_cliques=n)

@@ -8,6 +8,7 @@ import zipimport
 import numpy as np
 import pytest
 from pyspark import SparkContext
+from pyspark.accumulators import _accumulatorRegistry
 
 from repro.core.hbbmc import ALGORITHMS, run_named
 from repro.core.stats import BranchStats
@@ -157,6 +158,20 @@ def test_repeated_runs_leave_no_broadcast_files(spark, social_pair):
     for _ in range(3):
         mce_distributed(spark, edf, "HBBMC++", num_partitions=2)
     assert len(os.listdir(temp_dir)) == before
+
+
+def test_repeated_runs_leave_no_accumulators(spark, social_pair):
+    """Each run drops its counter accumulator from PySpark's driver-side
+    registry once it has read it, and the counters still match the local
+    runner's."""
+    edf, g = social_pair
+    local = run_named(g, "HBBMC++").stats.as_dict()
+    mce_distributed(spark, edf, "HBBMC++", num_partitions=2)
+    before = len(_accumulatorRegistry)
+    for _ in range(3):
+        res = mce_distributed(spark, edf, "HBBMC++", num_partitions=2)
+        assert res.stats.as_dict() == local
+    assert len(_accumulatorRegistry) == before
 
 
 def test_one_kernel_job_per_run(spark, social_pair):

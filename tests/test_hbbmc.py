@@ -338,6 +338,15 @@ SPLIT_CONFIGS = [
 ]
 
 
+@pytest.mark.parametrize("dataset", DATASET_NAMES)
+def test_vertex_root_costs_are_later_neighbour_counts(dataset):
+    """A vertex root's balance cost, read off the degeneracy peel, is its
+    number of neighbours after it in the order."""
+    plan = plan_roots(load_local(dataset, "test"), resolve_config("RDegen", {}))
+    pos = {v: i for i, v in enumerate(plan.order)}
+    assert plan.costs == [sum(1 for u in plan.adj[v] if pos[u] > i) for i, v in enumerate(plan.order)]
+
+
 @pytest.mark.parametrize("k", [1, 3, 7])
 @pytest.mark.parametrize("name,overrides", SPLIT_CONFIGS)
 def test_run_roots_split_invariance(name, overrides, k):

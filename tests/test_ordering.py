@@ -36,7 +36,7 @@ def test_degeneracy_of_cycle():
 
 def test_degeneracy_empty_graph():
     r = degeneracy_order(LocalGraph({}))
-    assert r.delta == 0 and r.order == []
+    assert r.delta == 0 and r.order == r.later == []
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -47,7 +47,7 @@ def test_degeneracy_later_neighbor_bound(seed):
     r = degeneracy_order(g)
     for i, v in enumerate(r.order):
         later = sum(1 for u in g.adj[v] if r.pos[u] > i)
-        assert later <= r.delta
+        assert r.later[i] == later <= r.delta
 
 
 # -- truss ---------------------------------------------------------------
