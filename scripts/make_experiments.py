@@ -113,11 +113,11 @@ def main() -> None:
             + f"\n\nET ablation (HBBMC++ vs HBBMC+): fewer calls on **{et_call_wins}/16**"
             f" datasets, faster on **{et_wins}/16** (the paper: faster on 16/16; here the"
             " wall-clock gain concentrates on the clique-heavy datasets, and is within"
-            " noise on the small ones — see the shape discussion above). Ref++ and HBBMC++"
-            f" run the same search (identical #calls on **{ref_same}/16** datasets): with ET"
-            " on, the `ref` kernel picks the same pivot as `tomita` and runs as it, so their"
-            " time difference is noise. Rcd++ and Fac++ branch differently; among the hybrid"
-            " kernel variants the ranking is data-dependent in the paper too.\n"
+            " noise on the small ones — see the shape discussion above). Naudé's refined"
+            " pivot is not reproduced, so Ref++ runs HBBMC++'s configuration (identical"
+            f" #calls on **{ref_same}/16** datasets) and their time difference is noise."
+            " Rcd++ and Fac++ branch differently; among the hybrid kernel variants the"
+            " ranking is data-dependent in the paper too.\n"
         )
 
     # ---------------- Table IV ----------------
@@ -346,7 +346,7 @@ FOOTER = """## Summary of shape reproduction
 
 | Paper claim | Status here |
 |---|---|
-| Maximal clique sets identical across all 12 algorithm configurations | ✅ clique counts compared in every table run; clique sets checked against the reference BK in the 800 tier-1 tests (`tests/`, test scale) |
+| Maximal clique sets identical across all 12 algorithm configurations | ✅ clique counts compared in every table run; clique sets checked against the reference BK in the tier-1 tests (`tests/`, test scale) |
 | τ < δ on all graphs; condition δ≥max(3,τ+3lnρ/ln3) holds for most | ✅ 13/16 surrogates (paper: 13/16 of these graphs) |
 | HBBMC++ beats VBBMC baselines | ⚠️ reproduced in #calls (fewest branches on most datasets); **inverted in wall time** on the Python substrate (flat per-call cost hides branch-width savings; see Table II note) |
 | ET (t=3) reduces branches and time; larger t better | ✅ #calls monotone in t on ~all datasets; time gains concentrate on clique-heavy graphs (DG/OR/CN), as in the paper's big graphs |

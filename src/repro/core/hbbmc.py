@@ -27,17 +27,19 @@ vertices to S, so a branch at depth ``d`` with a candidate left holds a
 clique of 2d + 1 vertices: with ``d > ω/2`` no branch reaches the kernel and
 the hybrid is pure EBBMC.
 
-The initial branch splits MCE into independent *root branches* along one
-*root order*, the config key ``root``: one branch per edge in an edge order
-(``"truss"``, ``"dgn"`` or ``"mdg"``: the hybrid; a maximal clique belongs
-to the branch of its rank-minimal edge), one per vertex in degeneracy order
-(``"degeneracy"``: the vertex framework; the branch of its first vertex),
-or the single whole-graph branch (``"global"``). A root's id is its
-position in that order. ``plan_roots`` computes the initial branch once and
-``run_roots`` runs any set of root ids in one sweep of the order, for both
-root kinds, so ``run_mce`` runs every root in process and
-``repro.dist.mce`` runs each Spark task's group of roots with the same
-code.
+Every run first applies graph reduction (GR, ``repro.core.reduction``), as
+every algorithm of Tables II–VI does, and searches only the core it leaves.
+The initial branch splits MCE on that core into independent *root
+branches* along one *root order*, the config key ``root``: one branch per
+edge in an edge order (``"truss"``, ``"dgn"`` or ``"mdg"``: the hybrid; a
+maximal clique belongs to the branch of its rank-minimal edge), one per
+vertex in degeneracy order (``"degeneracy"``: the vertex framework; the
+branch of its first vertex), or the single whole-graph branch
+(``"global"``). A root's id is its position in that order. ``plan_roots``
+computes the initial branch once and ``run_roots`` runs any set of root ids
+in one sweep of the order, for both root kinds, so ``run_named`` runs every
+root in process and ``repro.dist.mce`` runs each Spark task's group of
+roots with the same code.
 """
 from __future__ import annotations
 
@@ -49,7 +51,7 @@ from dataclasses import dataclass, fields
 from .kernels import KERNELS, Enumerator, kernel_fn
 from .localgraph import LocalGraph
 from .ordering import EDGE_ORDERS, Pair, degeneracy_order, edge_order_rank
-from .reduction import Reduction, reduce_graph
+from .reduction import reduce_graph
 from .stats import BranchStats
 
 
@@ -75,21 +77,19 @@ class MceConfig:
     root: the root order, which picks the framework. An edge order
     (``"truss"``, or Table VI's ``"dgn"`` and ``"mdg"``) is the hybrid
     (Table II's HBBMC); ``"degeneracy"`` (BK_Degen-style initial branching)
-    or ``"global"`` (a single root branch, BK_Pivot/BK_Ref-style) is the
+    or ``"global"`` (a single root branch, BK_Pivot-style) is the
     vertex framework (VBBMC).
     kernel: the vertex-oriented kernel (``repro.core.kernels.KERNELS``).
     d (edge roots only): edge-oriented levels before the kernel takes over
     (Table IV); any ``d > ω/2`` (ω the largest clique size) never hands
     over: pure EBBMC. Setting it under a vertex root is an error.
     et_t: early-termination threshold t (1, 2 or 3), 0 for none (Table V).
-    gr: apply graph reduction first (True or False).
     """
 
     root: str = "truss"
     kernel: str = "tomita"
     d: int = 1
     et_t: int = 3
-    gr: bool = True
 
 
 #: The vertex framework's root orders; every other root is an edge order.
@@ -100,23 +100,18 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def resolve_config(name: str | None, overrides: dict) -> MceConfig:
-    """The configuration of algorithm ``name`` (an ``ALGORITHMS`` key, or
-    None for the ``MceConfig`` defaults) with ``overrides`` applied. An
-    unknown name, key or value, or a ``d`` under a vertex root, raises
-    ``ValueError``, so a misconfigured run fails instead of running
-    something else."""
-    if name is None:
-        base = {}
-    elif name in ALGORITHMS:
-        base = ALGORITHMS[name]
-    else:
+def resolve_config(name: str, overrides: dict) -> MceConfig:
+    """The configuration of algorithm ``name`` (an ``ALGORITHMS`` key) with
+    ``overrides`` applied. An unknown name, key or value, or a ``d`` under a
+    vertex root, raises ``ValueError``, so a misconfigured run fails instead
+    of running something else."""
+    if name not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}; one of {sorted(ALGORITHMS)}")
     keys = {f.name for f in fields(MceConfig)}
     unknown = sorted(set(overrides) - keys)
     if unknown:
         raise ValueError(f"unknown config keys {unknown}; one of {sorted(keys)}")
-    merged = {**base, **overrides}
+    merged = {**ALGORITHMS[name], **overrides}
     cfg = MceConfig(**merged)
     if cfg.root not in (*EDGE_ORDERS, *_VERTEX_ROOTS):
         raise ValueError(f"unknown root {cfg.root!r}; one of {[*EDGE_ORDERS, *_VERTEX_ROOTS]}")
@@ -126,8 +121,6 @@ def resolve_config(name: str | None, overrides: dict) -> MceConfig:
         raise ValueError(f"d must be an int with d >= 1, not {cfg.d!r}")
     if not _is_int(cfg.et_t) or cfg.et_t not in (0, 1, 2, 3):
         raise ValueError(f"et_t must be 0 (no ET), 1, 2 or 3, not {cfg.et_t!r}")
-    if not isinstance(cfg.gr, bool):
-        raise ValueError(f"gr must be True or False, not {cfg.gr!r}")
     if cfg.root in _VERTEX_ROOTS and "d" in merged:
         raise ValueError(f"d is not read under the vertex root {cfg.root!r}")
     return cfg
@@ -150,7 +143,7 @@ class RootPlan:
     # in degeneracy order (degeneracy root), or None (global root).
     order: list[Pair] | list[int] | None
     costs: list[int]  # costs[i]: balance cost of branch i
-    cliques: list[tuple[int, ...]]  # found while planning: GR + root Eq.(3)
+    cliques: list[tuple[int, ...]]  # GR's, found while planning
     stats: BranchStats  # counters of the planning itself
 
     def enumerator(self, *, collect: bool = True) -> Enumerator:
@@ -159,15 +152,15 @@ class RootPlan:
 
 
 def plan_roots(g: LocalGraph, cfg: MceConfig) -> RootPlan:
-    """GR, the ordering peel and the root-branch list of ``cfg`` on ``g``.
+    """GR, the ordering peel of its core and the root-branch list of
+    ``cfg`` on ``g``.
 
     The balance cost of a branch estimates its work: the smaller endpoint
     degree of an edge branch, the number of later neighbours of a degeneracy
     vertex branch.
     """
-    red = reduce_graph(g) if cfg.gr else Reduction(reduced=g)
+    red = reduce_graph(g)
     adj = red.reduced.adj
-    cliques = list(red.cliques)
     stats = BranchStats(gr_cliques=len(red.cliques))
     if cfg.root == "global":
         order = None
@@ -179,13 +172,9 @@ def plan_roots(g: LocalGraph, cfg: MceConfig) -> RootPlan:
     else:
         order = edge_order_rank(red.reduced, cfg.root)
         costs = [min(len(adj[u]), len(adj[v])) for u, v in order]
-        # The initial edge-oriented branch is one call, and its Eq.(3)
-        # branches are the isolated vertices (GR, when on, peels them all
-        # first): each is a 1-clique.
+        # The initial edge-oriented branch is one call. It has no Eq.(3)
+        # branch: GR leaves no vertex of degree below 3.
         stats.calls = 1
-        isolated = [(v,) for v in sorted(adj) if not adj[v]]
-        cliques += isolated
-        stats.cliques = len(isolated)
     stats.root_branches = len(costs)
     return RootPlan(
         config=cfg,
@@ -193,7 +182,7 @@ def plan_roots(g: LocalGraph, cfg: MceConfig) -> RootPlan:
         blocked=red.blocked,
         order=order,
         costs=costs,
-        cliques=cliques,
+        cliques=red.cliques,
         stats=stats,
     )
 
@@ -308,7 +297,34 @@ def _ebb(
             enum.emit(S + [v])
 
 
-def _run(g: LocalGraph, cfg: MceConfig, collect: bool) -> MceRun:
+#: Named configurations for every algorithm that appears in Tables II–VI.
+ALGORITHMS: dict[str, dict] = {
+    # Table II: ours vs. the four state-of-the-art VBBMC+GR baselines [15].
+    # Naudé's refined pivot [12] is not reproduced: RRef is the global-root
+    # pivot BK, and Ref++ is HBBMC++ (DESIGN.md §4).
+    "HBBMC++": dict(root="truss", kernel="tomita", d=1, et_t=3),
+    "RRef": dict(root="global", kernel="tomita", et_t=0),
+    "RDegen": dict(root="degeneracy", kernel="tomita", et_t=0),
+    "RRcd": dict(root="degeneracy", kernel="rcd", et_t=0),
+    "RFac": dict(root="degeneracy", kernel="fac", et_t=0),
+    # Table III: ablation + hybrid with other VBBMC kernels.
+    "HBBMC+": dict(root="truss", kernel="tomita", d=1, et_t=0),
+    "Ref++": dict(root="truss", kernel="tomita", d=1, et_t=3),
+    "Rcd++": dict(root="truss", kernel="rcd", d=1, et_t=3),
+    "Fac++": dict(root="truss", kernel="fac", d=1, et_t=3),
+    # Table VI: initial-branch ordering variants (all with ET).
+    "VBBMC-dgn": dict(root="degeneracy", kernel="tomita", et_t=3),
+    "HBBMC-dgn": dict(root="dgn", kernel="tomita", d=1, et_t=3),
+    "HBBMC-mdg": dict(root="mdg", kernel="tomita", d=1, et_t=3),
+}
+
+
+def run_named(g: LocalGraph, name: str, *, collect: bool = True, **overrides) -> MceRun:
+    """Run a named algorithm (Tables II–VI row/column labels) end to end on
+    ``g``, with optional ``MceConfig`` overrides (e.g. ``d=2`` for Table IV,
+    ``et_t=1`` for Table V): plan the root branches, then run every one in
+    process. ``collect=False`` keeps only the counters."""
+    cfg = resolve_config(name, overrides)
     t0 = time.perf_counter()
     plan = plan_roots(g, cfg)
     enum = plan.enumerator(collect=collect)
@@ -317,36 +333,3 @@ def _run(g: LocalGraph, cfg: MceConfig, collect: bool) -> MceRun:
     seconds = time.perf_counter() - t0
     cliques = sorted(enum.out + plan.cliques) if collect else None
     return MceRun(cliques=cliques, stats=enum.stats, seconds=seconds)
-
-
-def run_mce(g: LocalGraph, *, collect: bool = True, **config) -> MceRun:
-    """Run one configuration (``MceConfig`` fields as keywords, defaults
-    for the rest) end to end on ``g``: plan the root branches, then run
-    every one in process. ``collect=False`` keeps only the counters."""
-    return _run(g, resolve_config(None, config), collect)
-
-
-#: Named configurations for every algorithm that appears in Tables II–VI.
-ALGORITHMS: dict[str, dict] = {
-    # Table II: ours vs. the four state-of-the-art VBBMC+GR baselines [15].
-    "HBBMC++": dict(root="truss", kernel="tomita", d=1, et_t=3, gr=True),
-    "RRef": dict(root="global", kernel="ref", et_t=0, gr=True),
-    "RDegen": dict(root="degeneracy", kernel="tomita", et_t=0, gr=True),
-    "RRcd": dict(root="degeneracy", kernel="rcd", et_t=0, gr=True),
-    "RFac": dict(root="degeneracy", kernel="fac", et_t=0, gr=True),
-    # Table III: ablation + hybrid with other VBBMC kernels.
-    "HBBMC+": dict(root="truss", kernel="tomita", d=1, et_t=0, gr=True),
-    "Ref++": dict(root="truss", kernel="ref", d=1, et_t=3, gr=True),
-    "Rcd++": dict(root="truss", kernel="rcd", d=1, et_t=3, gr=True),
-    "Fac++": dict(root="truss", kernel="fac", d=1, et_t=3, gr=True),
-    # Table VI: initial-branch ordering variants (all with ET + GR).
-    "VBBMC-dgn": dict(root="degeneracy", kernel="tomita", et_t=3, gr=True),
-    "HBBMC-dgn": dict(root="dgn", kernel="tomita", d=1, et_t=3, gr=True),
-    "HBBMC-mdg": dict(root="mdg", kernel="tomita", d=1, et_t=3, gr=True),
-}
-
-
-def run_named(g: LocalGraph, name: str, *, collect: bool = True, **overrides) -> MceRun:
-    """Run a named algorithm (Tables II–VI row/column labels), with optional
-    parameter overrides (e.g. ``d=2`` for Table IV, ``et_t=1`` for Table V)."""
-    return _run(g, resolve_config(name, overrides), collect)

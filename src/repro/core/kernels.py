@@ -11,10 +11,8 @@ Every kernel enumerates the maximal cliques of a branch ``(S, C, X)``:
 Kernels:
 
 - ``tomita``: classic max-|N(p) ∩ C| pivot over C ∪ X (BK_Pivot [8] /
-  BK_Degen [9] inner loop) — the kernel of RDegen and HBBMC++.
-- ``ref``: Naudé-style refined pivoting [12] — pivot-scan early exit once a
-  best-possible pivot is found (simplified; see DESIGN.md §4). It picks the
-  same pivot as ``tomita``, so with ET on it *is* ``tomita``.
+  BK_Degen [9] inner loop) — the kernel of RRef, RDegen and HBBMC++.
+  Naudé's refined pivot selection [12] is not reproduced (DESIGN.md §4).
 - ``rcd``: BK_Rcd [11] — repeatedly branch on the minimum-degree candidate
   until the remaining candidate graph is a clique, then emit it wholesale.
 - ``fac``: BK_Fac [18] — arbitrary initial pivot, re-pivot only when the new
@@ -221,25 +219,6 @@ class Enumerator:
             return
         self._pivot_branch(S, C, X, best_p, best_cnt, self.vbb_tomita)
 
-    # -- kernel: ref (Naudé-style) -----------------------------------------
-    def vbb_ref(self, S: list[int], C: set[int], X: set[int]) -> None:
-        """The ET-off kernel of ``ref`` (``kernel_fn`` runs ``vbb_tomita``
-        for it when ``et_t > 0``): the C-side pivot scan stops at the first
-        vertex adjacent to every other candidate. It picks the same pivot as
-        ``vbb_tomita``: the smallest vertex with the most C-neighbours."""
-        if self._enter(S, C, X):
-            return
-        adj = self.adj
-        best_p, best_cnt = -1, -1
-        top = len(C) - 1
-        for v in sorted(C):
-            cnt = len(C & adj[v])
-            if cnt > best_cnt:
-                best_cnt, best_p = cnt, v
-                if cnt == top:
-                    break  # cannot do better from C: a single sub-branch
-        self._pivot_branch(S, C, X, best_p, best_cnt, self.vbb_ref)
-
     # -- kernel: rcd (min-degree removal) ----------------------------------
     def vbb_rcd(self, S: list[int], C: set[int], X: set[int]) -> None:
         if self._enter(S, C, X):
@@ -290,18 +269,13 @@ class Enumerator:
 
 KERNELS: dict[str, str] = {
     "tomita": "vbb_tomita",
-    "ref": "vbb_ref",
     "rcd": "vbb_rcd",
     "fac": "vbb_fac",
 }
 
 
 def kernel_fn(enum: Enumerator, name: str):
-    """Resolve a kernel name to the bound method of ``enum``. With ET on,
-    ``ref`` runs ``vbb_tomita``: the two pick the same pivot, and only
-    ``ref``'s ET-off scan differs."""
-    if name == "ref" and enum.et_t > 0:
-        name = "tomita"
+    """Resolve a kernel name to the bound method of ``enum``."""
     try:
         return getattr(enum, KERNELS[name])
     except KeyError:

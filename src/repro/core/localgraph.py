@@ -59,9 +59,6 @@ class LocalGraph:
                 if u < v:
                     yield (u, v)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj.get(u, ())
-
     def density(self) -> float:
         """Edge density rho = m / n as defined in the paper (Section III-C)."""
         return self.m / self.n if self.n else 0.0

@@ -31,17 +31,17 @@ removed w still has all of N(w) ∩ core when it goes, so the core part of
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .localgraph import LocalGraph
 
 
 @dataclass
 class Reduction:
-    reduced: LocalGraph
-    cliques: list[tuple[int, ...]] = field(default_factory=list)
-    blocked: set[frozenset[int]] = field(default_factory=set)
-    removed: int = 0
+    reduced: LocalGraph  # the 3-core of g: every vertex has degree >= 3
+    cliques: list[tuple[int, ...]]
+    blocked: set[frozenset[int]]
+    removed: int
 
 
 def reduce_graph(g: LocalGraph) -> Reduction:

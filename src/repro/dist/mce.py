@@ -8,8 +8,7 @@ Xu et al. [17]):
    as self-loops), and calls ``repro.core.hbbmc.plan_roots``: graph
    reduction (GR), the exact ordering peel of the config's ``root`` (an
    edge order for the hybrid framework, the degeneracy order for the vertex
-   framework), the balance cost of each root branch, and the cliques the
-   initial branch finds by itself (GR's and the isolated vertices).
+   framework), the balance cost of each root branch, and GR's cliques.
 2. The driver deals the root branch ids round-robin, in descending order of
    balance cost, into one group per task, so every task gets a balanced mix
    of heavy and light branches. There is one task per slot of the session
@@ -108,7 +107,10 @@ class _StatsParam(AccumulatorParam):
 class DistMceResult:
     cliques_df: DataFrame  # columns: clique (csv string), size
     stats: BranchStats
-    n_cliques: int
+
+    @property
+    def n_cliques(self) -> int:
+        return self.stats.cliques + self.stats.gr_cliques
 
 
 def mce_distributed(
@@ -122,7 +124,7 @@ def mce_distributed(
     """Run a named algorithm (Tables II–VI labels) distributed by root
     branch. ``edges`` has long columns ``src`` and ``dst``; an edge may come
     in either orientation, repeated, or as a self-loop. ``overrides`` tweak
-    the configuration (``root``, ``d``, ``et_t``, ``gr`` …) exactly like
+    the configuration (``root``, ``kernel``, ``d``, ``et_t``) exactly like
     ``repro.core.hbbmc.run_named``.
     ``num_partitions`` is the number of kernel tasks (default: the session's
     task slots), never more than the number of root branches."""
@@ -176,5 +178,4 @@ def mce_distributed(
     # the session stops; the checkpoint job has merged all of this one's
     # updates, so nothing reads it again.
     _accumulatorRegistry.pop(acc.aid, None)
-    n = stats.cliques + stats.gr_cliques
-    return DistMceResult(cliques_df=cliques_df, stats=stats, n_cliques=n)
+    return DistMceResult(cliques_df=cliques_df, stats=stats)

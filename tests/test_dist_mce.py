@@ -79,7 +79,8 @@ BAD_CONFIGS = [
     ("d=1.5", "HBBMC++", dict(d=1.5), "d must be"),
     ("d=str", "HBBMC++", dict(d="2"), "d must be"),
     ("edge_order", "RDegen", dict(root="bogus"), "unknown root"),
-    ("gr", "HBBMC++", dict(gr="no"), "gr must be"),
+    ("gr", "HBBMC++", dict(gr=True), r"unknown config keys \['gr'\]"),
+    ("kernel=ref", "RRef", dict(kernel="ref"), "unknown kernel 'ref'"),
     ("vertex-d", "RDegen", dict(d=3), "d is not read under the vertex root 'degeneracy'"),
     ("vertex-edge_order", "RDegen", dict(edge_order="mdg"), r"unknown config keys \['edge_order'\]"),
     ("hybrid-root", "HBBMC++", dict(root="global"), "d is not read under the vertex root 'global'"),

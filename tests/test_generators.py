@@ -86,7 +86,7 @@ def test_caveman_structure():
     # every cave is a 6-clique: first cave vertices 0..5 pairwise adjacent
     for i in range(6):
         for j in range(i + 1, 6):
-            assert g.has_edge(i, j)
+            assert j in g.adj[i]
 
 
 def test_social_caves_are_two_plexes():
@@ -101,7 +101,7 @@ def test_social_removes_exact_matching():
     e = social_edges(40, 3, seed=3, caves=(1, 10, 4))
     g = to_local(e)
     ids = set(range(40, 50))
-    missing = [(i, j) for i in ids for j in ids if i < j and not g.has_edge(i, j)]
+    missing = [(i, j) for i in ids for j in ids if i < j and j not in g.adj[i]]
     assert len(missing) == 4  # a matching of 4 pairs was removed
     used = [v for p in missing for v in p]
     assert len(set(used)) == 8  # and it is a matching

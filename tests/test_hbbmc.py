@@ -8,13 +8,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
-from repro.core.hbbmc import ALGORITHMS, plan_roots, resolve_config, run_mce, run_named, run_roots
+from repro.core.hbbmc import ALGORITHMS, plan_roots, resolve_config, run_named, run_roots
 from repro.core.kernels import Enumerator
 from repro.core.localgraph import LocalGraph
 from repro.core.ordering import EDGE_ORDERS, truss_order
+from repro.core.reduction import reduce_graph
 from repro.core.stats import BranchStats
 from repro.graphs.datasets import DATASET_NAMES, load_local
 from repro.graphs.generators import (
@@ -77,7 +79,7 @@ def test_et_threshold_sweep(t, gname, make):
 @pytest.mark.parametrize("gname,make", GRAPHS)
 def test_pure_ebbmc(gname, make):
     g = make(0)
-    r = run_mce(g, d=EBBMC_D, et_t=0, gr=False)
+    r = run_named(g, "HBBMC+", d=EBBMC_D)
     assert r.cliques == reference_mce(g)
 
 
@@ -85,38 +87,31 @@ def test_pure_ebbmc(gname, make):
 @pytest.mark.parametrize("seed", range(3))
 def test_alternative_edge_orders(edge_order, seed):
     g = to_local(er_edges(35, 160, seed), 35)
-    r = run_mce(g, root=edge_order, et_t=3, gr=True)
+    r = run_named(g, "HBBMC++", root=edge_order)
     assert r.cliques == reference_mce(g)
 
 
-@pytest.mark.parametrize("gr", [False, True])
-@pytest.mark.parametrize("gname,make", GRAPHS)
-def test_gr_toggle(gr, gname, make):
-    g = make(1)
-    assert run_named(g, "HBBMC++", gr=gr).cliques == reference_mce(g)
-
-
-@pytest.mark.parametrize("gr", [False, True])
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-def test_run_leaves_the_input_graph_untouched(name, gr):
-    """Without GR the plan runs on the caller's adjacency itself, so no
-    stage of any algorithm may modify it."""
+def test_run_leaves_the_input_graph_untouched(name):
+    """GR only reads the caller's adjacency and every later stage runs on
+    the core it builds, so no stage of any algorithm may modify ``g``."""
     g = dict(GRAPHS)["social"](0)
     g.adj.update({1000: {1001}, 1001: {1000}, 1002: set()})  # pendant edge, isolated vertex
     before = copy.deepcopy(g.adj)
-    run_named(g, name, gr=gr)
+    run_named(g, name)
     assert g.adj == before
 
 
 def test_isolated_vertices_and_odd_cliques():
-    """Eq.(3) branches: isolated vertices are 1-cliques; odd cliques pass
-    through zero-degree candidates in edge branches."""
-    g = to_local(er_edges(10, 12, 3), 15)  # vertices 10..14 isolated
+    """Isolated vertices are 1-cliques, which GR emits. A K5 survives GR,
+    and its 5-clique passes through a zero-degree candidate (Eq. 3) of an
+    edge branch once no branch hands over."""
+    k5 = [(u, v) for u in range(15, 20) for v in range(u + 1, 20)]
+    g = to_local(np.concatenate([er_edges(10, 12, 3), k5]), 15)  # 10..14 isolated
     ref = reference_mce(g)
-    assert any(len(c) == 1 for c in ref)
+    assert any(len(c) == 1 for c in ref) and (15, 16, 17, 18, 19) in ref
     for d in (1, EBBMC_D):
-        r = run_mce(g, d=d, et_t=0, gr=False)
-        assert r.cliques == ref
+        assert run_named(g, "HBBMC+", d=d).cliques == ref
 
 
 def test_empty_graph():
@@ -137,14 +132,14 @@ def test_single_edge_graph():
 
 def test_counters_root_branches_hybrid():
     g = to_local(er_edges(30, 100, 0), 30)
-    r = run_named(g, "HBBMC++", gr=False)
-    assert r.stats.root_branches == g.m  # one root branch per edge
+    r = run_named(g, "HBBMC++")
+    assert r.stats.root_branches == reduce_graph(g).reduced.m  # one per edge of the GR core
 
 
 def test_counters_root_branches_vertex():
     g = to_local(er_edges(30, 100, 0), 30)
-    r = run_named(g, "RDegen", gr=False)
-    assert r.stats.root_branches == g.n
+    r = run_named(g, "RDegen")
+    assert r.stats.root_branches == reduce_graph(g).reduced.n
 
 
 def test_counters_et_monotone_calls():
@@ -182,7 +177,7 @@ def test_hybrid_rejects_bad_depth():
     from repro.core.localgraph import LocalGraph
 
     with pytest.raises(ValueError, match="d >= 1"):
-        run_mce(LocalGraph.from_edges([(0, 1)]), d=0)
+        run_named(LocalGraph.from_edges([(0, 1)]), "HBBMC++", d=0)
 
 
 def test_collect_false_counts_only():
@@ -395,10 +390,10 @@ def test_deep_clique_raises_recursion_limit():
     Python's default limit of 1000 allows; run_roots raises the limit."""
     code = (
         "import itertools; "
-        "from repro.core.hbbmc import run_mce; "
+        "from repro.core.hbbmc import run_named; "
         "from repro.core.localgraph import LocalGraph; "
         "g = LocalGraph.from_edges(itertools.combinations(range(400), 2)); "
-        "r = run_mce(g, root='global', et_t=0, gr=False); "
+        "r = run_named(g, 'RRef'); "
         "print(r.cliques == [tuple(range(400))])"
     )
     assert _fresh_python(code) == "True"

@@ -1,8 +1,8 @@
-"""Correctness fuzz of the four VBBMC kernels against the reference, plus
+"""Correctness fuzz of the three VBBMC kernels against the reference, plus
 kernel-level unit behavior."""
 import pytest
 
-from repro.core.hbbmc import run_mce
+from repro.core.hbbmc import run_named
 from repro.core.kernels import KERNELS, Enumerator, kernel_fn
 from repro.core.localgraph import LocalGraph
 from repro.graphs.generators import (
@@ -27,29 +27,17 @@ GRAPHS = [
 @pytest.mark.parametrize("gname,make", GRAPHS)
 @pytest.mark.parametrize("seed", range(3))
 def test_kernel_vertex_framework_matches_reference(kernel, gname, make, seed):
+    """Each kernel on the raw graph's initial branch (∅, V, ∅), degree <= 2
+    vertices included, and under both vertex roots of a planned run."""
     g = make(seed)
     ref = reference_mce(g)
-    for root in ("degeneracy", "global"):
-        for et_t in (0, 3):
-            r = run_mce(g, root=root, kernel=kernel, et_t=et_t, gr=False)
-            assert r.cliques == ref, f"{kernel}/{root}/t={et_t}"
-
-
-def test_ref_and_tomita_run_the_same_search():
-    """``ref``'s early-exit scan picks ``tomita``'s pivot, so both kernels
-    give the same counters and cliques, with and without ET."""
-    for gname, make in GRAPHS:
-        for seed in range(3):
-            g = make(seed)
-            for root in ("degeneracy", "global"):
-                for et_t in (0, 3):
-                    runs = [
-                        run_mce(g, root=root, kernel=k, et_t=et_t, gr=False)
-                        for k in ("ref", "tomita")
-                    ]
-                    where = f"{gname}/{seed}/{root}/t={et_t}"
-                    assert runs[0].stats.as_dict() == runs[1].stats.as_dict(), where
-                    assert runs[0].cliques == runs[1].cliques, where
+    for et_t in (0, 3):
+        enum = Enumerator(g.adj, et_t=et_t)
+        kernel_fn(enum, kernel)([], set(g.adj), set())
+        assert sorted(enum.out) == ref, f"{kernel}/direct/t={et_t}"
+        for base in ("RDegen", "RRef"):
+            r = run_named(g, base, kernel=kernel, et_t=et_t)
+            assert r.cliques == ref, f"{kernel}/{base}/t={et_t}"
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
@@ -127,6 +115,6 @@ def test_single_candidate_fast_path_maximality():
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_stats_call_counting_positive(kernel):
     g = to_local(er_edges(20, 60, 0), 20)
-    r = run_mce(g, root="degeneracy", kernel=kernel, et_t=0, gr=False)
+    r = run_named(g, "RDegen", kernel=kernel)
     assert r.stats.calls > 0
-    assert r.stats.cliques == len(r.cliques)
+    assert r.n_cliques == len(r.cliques)

@@ -41,11 +41,6 @@ def test_edges_canonical(tri):
     assert sorted(tri.edges()) == [(0, 1), (0, 2), (1, 2)]
 
 
-def test_has_edge(tri):
-    assert tri.has_edge(0, 1) and tri.has_edge(1, 0)
-    assert not tri.has_edge(0, 99)
-
-
 def test_density(tri):
     assert tri.density() == pytest.approx(1.0)
     assert LocalGraph({}).density() == 0.0

@@ -3,7 +3,7 @@ configuration enumerates exactly the reference's maximal cliques."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hbbmc import run_mce, run_named
+from repro.core.hbbmc import run_named
 from repro.core.localgraph import LocalGraph
 from repro.reference import reference_mce
 from tests.test_hbbmc import EBBMC_D
@@ -27,11 +27,11 @@ def test_hbbmcpp_matches_reference(edges):
     assert run_named(g, "HBBMC++").cliques == reference_mce(g)
 
 
-@given(edge_sets, st.sampled_from(["tomita", "ref", "rcd", "fac"]))
+@given(edge_sets, st.sampled_from(["tomita", "rcd", "fac"]))
 @settings(max_examples=80, deadline=None)
 def test_vertex_kernels_match_reference(edges, kernel):
     g = build(edges)
-    r = run_mce(g, root="degeneracy", kernel=kernel, et_t=3, gr=True)
+    r = run_named(g, "VBBMC-dgn", kernel=kernel)
     assert r.cliques == reference_mce(g)
 
 
@@ -46,5 +46,5 @@ def test_depth_sweep_matches_reference(edges, d):
 @settings(max_examples=60, deadline=None)
 def test_pure_ebbmc_matches_reference(edges):
     g = build(edges)
-    r = run_mce(g, d=EBBMC_D, et_t=0, gr=False)
+    r = run_named(g, "HBBMC+", d=EBBMC_D)
     assert r.cliques == reference_mce(g)

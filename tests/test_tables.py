@@ -1,9 +1,6 @@
 """Smoke-run the table harnesses at test scale (they are the engines behind
 jobs/ and benchmarks/)."""
 import json
-import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -73,16 +70,3 @@ def test_columns_match_committed_results(n):
     rows = tables.TABLES[n](names=["NA"], scale="test")
     assert list(rows[0]) == list(committed[0])
 
-
-def test_tier1_count_literals_match_the_suite():
-    """README.md and the summary that scripts/make_experiments.py writes
-    into EXPERIMENTS.md state the tier-1 test count as a literal."""
-    out = subprocess.run(
-        [sys.executable, "-m", "pytest", "tests/", "--collect-only", "-q", "-p", "no:cacheprovider"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
-    )
-    collected = re.search(r"^(\d+) tests? collected", out.stdout, re.M)
-    assert collected, out.stdout[-2000:] + out.stderr[-2000:]
-    readme = re.search(r"^tests/ +(\d+) tests ", (ROOT / "README.md").read_text(), re.M)
-    script = re.search(r"in the (\d+) tier-1 tests", (ROOT / "scripts" / "make_experiments.py").read_text())
-    assert (int(readme[1]), int(script[1])) == (int(collected[1]),) * 2
