@@ -1,5 +1,5 @@
-"""Generate EXPERIMENTS.md from results/table*.json (written by
-``pytest benchmarks/ --benchmark-only``).
+"""Generate EXPERIMENTS.md from results/table*.json and results/dist.json
+(written by ``pytest benchmarks/ --benchmark-only``).
 
 Usage: python scripts/make_experiments.py
 """
@@ -12,8 +12,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
 
 
-def load(n):
-    p = RESULTS / f"table{n}.json"
+def load(name: str):
+    p = RESULTS / f"{name}.json"
     return json.loads(p.read_text()) if p.exists() else None
 
 
@@ -42,8 +42,9 @@ def kfmt(c):
     return str(int(c))
 
 
-def main() -> None:
-    t1, t2, t3, t4, t5, t6 = (load(i) for i in range(1, 7))
+def render() -> str:
+    """EXPERIMENTS.md's text, from the committed results files."""
+    t1, t2, t3, t4, t5, t6 = (load(f"table{i}") for i in range(1, 7))
     parts: list[str] = []
     parts.append(HEADER)
 
@@ -106,7 +107,6 @@ def main() -> None:
             rows.append(cells)
         et_wins = sum(1 for r in t3 if r["hbbmcpp_s"] < r["hbbmcp_s"])
         et_call_wins = sum(1 for r in t3 if r["hbbmcpp_calls"] < r["hbbmcp_calls"])
-        ref_same = sum(1 for r in t3 if r["refpp_calls"] == r["hbbmcpp_calls"])
         parts.append(
             "## Table III — ablation and hybrid variants (paper s / measured s / #calls)\n\n"
             + md(["ds"] + [n for _, n in algs], rows)
@@ -114,8 +114,9 @@ def main() -> None:
             f" datasets, faster on **{et_wins}/16** (the paper: faster on 16/16; here the"
             " wall-clock gain concentrates on the clique-heavy datasets, and is within"
             " noise on the small ones — see the shape discussion above). Naudé's refined"
-            " pivot is not reproduced, so Ref++ runs HBBMC++'s configuration (identical"
-            f" #calls on **{ref_same}/16** datasets) and their time difference is noise."
+            " pivot is not reproduced, so Ref++ is HBBMC++'s configuration under another"
+            " name: its #calls are HBBMC++'s by construction, and their time difference"
+            " is noise."
             " Rcd++ and Fac++ branch differently; among the hybrid kernel variants the"
             " ranking is data-dependent in the paper too.\n"
         )
@@ -223,31 +224,41 @@ def main() -> None:
         )
 
     # ---------------- Distributed execution ----------------
-    dist = None
-    p = RESULTS / "dist.json"
-    if p.exists():
-        dist = json.loads(p.read_text())
+    dist = load("dist")
     if dist:
-        speedup = dist["serial_s"] / dist["parallel_s"]
+        spark_s = dist["spark_s"]  # task count (a string key) -> seconds
+        local_s = dist["in_process_s"]
+        most = max(spark_s, key=int)
+        times = ", ".join(
+            f"**{t} s in {n} task{'' if n == '1' else 's'}**" for n, t in spark_s.items()
+        )
         parts.append(
             "## Distributed execution (the repro's Spark layer)\n\n"
             "The whole algorithm suite also runs as a Spark job partitioned by root"
             " branch (`repro.dist.mce`; `tests/test_dist_mce.py` asserts identical"
-            " clique sets to the local runners for every framework family and any"
-            f" partitioning). On the heavyweight {dist['dataset']} surrogate"
-            f" ({dist['n_cliques']:,} cliques), {dist['algorithm']} takes"
-            f" **{dist['serial_s']} s in 1 task vs {dist['parallel_s']} s in one task"
-            f" per core on {dist['parallelism']} cores** ({speedup:.1f}× scale-out;"
-            " `benchmarks/bench_dist.py`). The non-parallel remainder is the"
-            " driver-side GR + truss-ordering peel and the collection of the"
-            " clique DataFrame — the same O(δm) preprocessing term the paper's"
-            " complexity carries. At surrogate scale Spark task overhead dominates"
-            " the kernels, so EXPERIMENTS tables are timed with the in-process"
-            " runners (DESIGN.md §5)."
+            " clique sets and counters to the local runner for every algorithm name"
+            f" and any partitioning). On the heavyweight {dist['dataset']} surrogate"
+            f" ({dist['n_cliques']:,} cliques), {dist['algorithm']} takes {times} on a"
+            f" {dist['parallelism']}-slot session, against **{local_s} s in process**"
+            " (`run_named`, cliques built). Each time is the minimum of"
+            f" {dist['rounds']} rounds after one untimed warm-up call"
+            f" (`benchmarks/bench_dist.py`). {most} tasks are"
+            f" {spark_s['1'] / spark_s[most]:.1f}× faster than 1 and take"
+            f" {spark_s[most] / local_s:.2f}× the in-process time. The part that"
+            " does not scale out runs on the driver: the edge collect (`to_local`),"
+            " GR and the truss-ordering peel, plus Spark's fixed cost per job and per"
+            " task. The result is the checkpointed clique DataFrame, which the"
+            " driver does not collect. At surrogate scale Spark task overhead"
+            " dominates the kernels, so EXPERIMENTS tables are timed with the"
+            " in-process runners (DESIGN.md §5)."
         )
 
     parts.append(FOOTER)
-    (ROOT / "EXPERIMENTS.md").write_text("\n\n".join(parts))
+    return "\n\n".join(parts)
+
+
+def main() -> None:
+    (ROOT / "EXPERIMENTS.md").write_text(render())
     print("wrote", ROOT / "EXPERIMENTS.md")
 
 
@@ -328,8 +339,9 @@ validated for identical output and benchmarked separately in
 Regenerate with:
 
 ```bash
-pytest benchmarks/ --benchmark-only -q     # writes results/table*.json
-python scripts/make_experiments.py         # rewrites this file
+pytest benchmarks/bench_tables.py --benchmark-only -q   # writes results/table*.json
+pytest benchmarks/bench_dist.py --benchmark-only -q     # writes results/dist.json
+python scripts/make_experiments.py                      # rewrites this file
 ```
 
 **How to read the numbers.** Cells are `paper / measured` (and `/ #calls`

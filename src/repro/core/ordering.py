@@ -31,11 +31,10 @@ Pair = tuple[int, int]
 
 @dataclass(frozen=True)
 class DegeneracyResult:
-    """Degeneracy peel output: the order, per-vertex position, each
-    vertex's number of later neighbours (in order), and delta."""
+    """Degeneracy peel output: the order, each vertex's number of later
+    neighbours (in order), and delta."""
 
     order: list[int]
-    pos: dict[int, int]
     later: list[int]
     delta: int
 
@@ -66,8 +65,7 @@ def degeneracy_order(g: LocalGraph) -> DegeneracyResult:
             if u not in removed:
                 deg[u] -= 1
                 heapq.heappush(heap, (deg[u], u))
-    pos = {v: i for i, v in enumerate(order)}
-    return DegeneracyResult(order=order, pos=pos, later=later, delta=delta)
+    return DegeneracyResult(order=order, later=later, delta=delta)
 
 
 @dataclass(frozen=True)
@@ -224,7 +222,7 @@ def edge_order_rank(g: LocalGraph, kind: str) -> list[Pair]:
     if kind == "truss":
         return truss_order(g).order
     if kind == "dgn":
-        pos = degeneracy_order(g).pos
+        pos = {v: i for i, v in enumerate(degeneracy_order(g).order)}
         return sorted(
             g.edges(), key=lambda e: (min(pos[e[0]], pos[e[1]]), max(pos[e[0]], pos[e[1]]), e)
         )

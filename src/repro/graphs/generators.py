@@ -4,7 +4,7 @@ Each generator returns a canonical edge array of shape (m, 2) with
 ``u < v`` and no duplicates; ``to_local`` / Spark wrappers build the
 structures the kernels and DataFrame jobs consume. Models:
 
-- ``er_edges``            Erdős–Rényi G(n, m) (Appendix D's ER model)
+- ``er_edges``            Erdős–Rényi G(n, m), the tests' random inputs
 - ``ba_edges``            Barabási–Albert preferential attachment (BA model)
 - ``powerlaw_cluster_edges``  Holme–Kim: BA plus triangle-closure steps —
                           power-law degrees with high clustering (web graphs)
@@ -36,7 +36,8 @@ def _canon(pairs: list[tuple[int, int]]) -> np.ndarray:
 
 
 def er_edges(n: int, m: int, seed: int = 0) -> np.ndarray:
-    """G(n, m): m distinct uniform edges (the paper's ER generator)."""
+    """G(n, m): m distinct uniform edges (the model of the paper's
+    Appendix D sweeps, which are not run here; the tests use it)."""
     rng = np.random.default_rng(seed)
     max_m = n * (n - 1) // 2
     m = min(m, max_m)

@@ -2,8 +2,9 @@
 
 Each ``tableN`` function runs the right algorithm set over the surrogate
 datasets and returns one dict per table row, with the paper's reported
-number (seconds, from the tables in Section V) next to the measured one, so
-EXPERIMENTS.md and the jobs can print paper-vs-measured directly.
+number (seconds, from the tables in Section V) next to the measured one.
+``benchmarks/bench_tables.py`` records them in ``results/tableN.json``, and
+``scripts/make_experiments.py`` renders those files into EXPERIMENTS.md.
 
 Every run is in process, on one core, as the paper times its tables on one
 machine, and counts cliques without building them (the rows read only the
@@ -201,14 +202,3 @@ def table6(names=None, scale="bench") -> list[dict]:
 
 
 TABLES = {1: table1, 2: table2, 3: table3, 4: table4, 5: table5, 6: table6}
-
-
-def format_markdown(rows: list[dict]) -> str:
-    """Render table rows as a GitHub-flavored markdown table."""
-    if not rows:
-        return "(no rows)"
-    cols = list(rows[0])
-    lines = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
-    for r in rows:
-        lines.append("| " + " | ".join(str(r.get(c, "")) for c in cols) + " |")
-    return "\n".join(lines)

@@ -45,8 +45,9 @@ def test_degeneracy_later_neighbor_bound(seed):
     it in the order."""
     g = to_local(er_edges(60, 300, seed), 60)
     r = degeneracy_order(g)
+    pos = {v: i for i, v in enumerate(r.order)}
     for i, v in enumerate(r.order):
-        later = sum(1 for u in g.adj[v] if r.pos[u] > i)
+        later = sum(1 for u in g.adj[v] if pos[u] > i)
         assert r.later[i] == later <= r.delta
 
 

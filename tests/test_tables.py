@@ -1,5 +1,6 @@
-"""Smoke-run the table harnesses at test scale (they are the engines behind
-jobs/ and benchmarks/)."""
+"""Smoke-run the table harnesses at test scale (benchmarks/bench_tables.py
+runs them at bench scale), and check EXPERIMENTS.md against results/."""
+import importlib.util
 import json
 from pathlib import Path
 
@@ -56,12 +57,6 @@ def test_table6_rows():
         assert {"hbbmcpp_s", "vbbmc_dgn_s", "hbbmc_dgn_s", "hbbmc_mdg_s"} <= set(r)
 
 
-def test_format_markdown():
-    md = tables.format_markdown([{"a": 1, "b": "x"}])
-    assert md.splitlines()[0] == "| a | b |"
-    assert "| 1 | x |" in md
-
-
 @pytest.mark.parametrize("n", sorted(tables.TABLES))
 def test_columns_match_committed_results(n):
     """scripts/make_experiments.py renders results/tableN.json by column
@@ -70,3 +65,12 @@ def test_columns_match_committed_results(n):
     rows = tables.TABLES[n](names=["NA"], scale="test")
     assert list(rows[0]) == list(committed[0])
 
+
+def test_experiments_md_is_rendered_from_results():
+    """EXPERIMENTS.md is generated from results/; a results file changed
+    without regenerating the document fails here."""
+    script = ROOT / "scripts" / "make_experiments.py"
+    spec = importlib.util.spec_from_file_location("make_experiments", script)
+    make_experiments = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_experiments)
+    assert make_experiments.render() == (ROOT / "EXPERIMENTS.md").read_text()
