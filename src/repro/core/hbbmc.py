@@ -48,6 +48,8 @@ import time
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .kernels import KERNELS, Enumerator, kernel_fn
 from .localgraph import LocalGraph
 from .ordering import EDGE_ORDERS, Pair, degeneracy_order, edge_order_rank
@@ -160,18 +162,20 @@ def plan_roots(g: LocalGraph, cfg: MceConfig) -> RootPlan:
     vertex branch.
     """
     red = reduce_graph(g)
-    adj = red.reduced.adj
+    core = red.reduced
+    adj = core.adj
     stats = BranchStats(gr_cliques=len(red.cliques))
     if cfg.root == "global":
         order = None
         costs = [len(adj)]
     elif cfg.root == "degeneracy":
-        dg = degeneracy_order(red.reduced)
+        dg = degeneracy_order(core)
         order = dg.order
         costs = dg.later
     else:
-        order = edge_order_rank(red.reduced, cfg.root)
-        costs = [min(len(adj[u]), len(adj[v])) for u, v in order]
+        pos = edge_order_rank(core, cfg.root)
+        order = core.edges_at(pos)
+        costs = np.minimum(core.deg[core.eu[pos]], core.deg[core.ev[pos]]).tolist()
         # The initial edge-oriented branch is one call. It has no Eq.(3)
         # branch: GR leaves no vertex of degree below 3.
         stats.calls = 1

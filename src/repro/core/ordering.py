@@ -14,17 +14,19 @@ These are the peels the paper's bounds rely on:
   peel (``repro.reference.greedy_truss_order``) reports; in HBBMC the
   candidate graph of every root edge branch has at most ``tau`` vertices.
 
-Both peels run in one process: in process, or on the driver for a Spark run.
+The truss peel and the edge orders read the graph's canonical edge arrays
+(``repro.core.localgraph``), and ``edge_order_rank`` returns positions in
+them; the degeneracy peel reads the adjacency sets. Both peels run in one
+process: in process, or on the driver for a Spark run.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .localgraph import LocalGraph
+from .localgraph import LocalGraph, gather
 
 Pair = tuple[int, int]
 
@@ -76,24 +78,6 @@ class TrussResult:
     tau: int
 
 
-def _edge_arrays(g: LocalGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``g``'s vertex ids in sorted order, each vertex's degree, and the
-    endpoints of every edge as dense indices into those ids, ``eu < ev``,
-    sorted by (eu, ev). Indices follow id order, so (eu, ev) order is (u, v)
-    order, and no array is sized by the largest id."""
-    verts = sorted(g.adj)
-    n = len(verts)
-    ids = np.array(verts, dtype=np.int64)
-    nbrs = [g.adj[v] for v in verts]
-    deg = np.fromiter(map(len, nbrs), dtype=np.int64, count=n)
-    flat = np.fromiter(chain.from_iterable(nbrs), dtype=np.int64, count=int(deg.sum()))
-    src = np.repeat(np.arange(n), deg)
-    dst = np.searchsorted(ids, flat)
-    keep = src < dst
-    eu, ev = np.divmod(np.sort(src[keep] * n + dst[keep]), n)
-    return ids, deg, eu, ev
-
-
 def _triangles(deg: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     """Every triangle once, as a row of its three edge ids (positions in
     ``eu``/``ev``). Each edge is oriented from its lower to its higher
@@ -125,18 +109,17 @@ def _triangles(deg: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     return np.stack((np.repeat(np.arange(len(eu)), counts), e_aw, e_bw), axis=1)
 
 
-def _gather(ptr: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The concatenated CSR segments ``values[ptr[r] : ptr[r + 1]]`` of
-    ``rows``."""
-    starts = ptr[rows]
-    lens = ptr[rows + 1] - starts
-    shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
-    return values[shift + np.arange(len(shift))]
-
-
 def truss_order(g: LocalGraph) -> TrussResult:
-    """Round-synchronous support peel (PKT, Kabir & Madduri, HPEC 2017; after
-    Wang & Cheng, PVLDB 2012).
+    """The truss-based edge order of ``g``, as (u, v) pairs, and tau
+    (``_truss_peel``)."""
+    pos, tau = _truss_peel(g)
+    return TrussResult(order=g.edges_at(pos), tau=tau)
+
+
+def _truss_peel(g: LocalGraph) -> tuple[np.ndarray, int]:
+    """The truss-based edge order, as positions in ``g``'s edge arrays, and
+    tau, from a round-synchronous support peel (PKT, Kabir & Madduri, HPEC
+    2017; after Wang & Cheng, PVLDB 2012).
 
     ``support(e)`` = number of triangles through e whose three edges are all
     still live. Supports start from one listing of every triangle
@@ -159,10 +142,10 @@ def truss_order(g: LocalGraph) -> TrussResult:
     O(m * sqrt(m)) at worst; sorting the T triangle-edge incidences costs
     O(T log T); each round's numpy work is proportional to the triangles it
     breaks, and each level adds one O(m) scan (at most tau + 1 levels).
-    Vertices are mapped to dense indices in id order first, so huge or
-    sparse ids cost nothing extra.
+    The peel reads ``g``'s canonical edge arrays, whose vertices are dense
+    indices in id order, so huge or sparse ids cost nothing extra.
     """
-    ids, deg, eu, ev = _edge_arrays(g)
+    deg, eu, ev = g.deg, g.eu, g.ev
     m = len(eu)
     tri = _triangles(deg, eu, ev)
     flat = tri.ravel()
@@ -187,7 +170,7 @@ def truss_order(g: LocalGraph) -> TrussResult:
         rounds.append(frontier)
         alive[frontier] = False
         left -= len(frontier)
-        broken = _gather(eptr, frontier, edge_tris)
+        broken = gather(eptr, frontier, edge_tris)
         broken = np.unique(broken[tri_live[broken]])
         tri_live[broken] = False
         hit = tri[broken].ravel()
@@ -196,22 +179,23 @@ def truss_order(g: LocalGraph) -> TrussResult:
         hit = np.unique(hit)
         frontier = hit[sup[hit] <= k]
     order = np.concatenate(rounds) if rounds else np.empty(0, dtype=np.int64)
-    return TrussResult(order=list(zip(ids[eu[order]].tolist(), ids[ev[order]].tolist())), tau=k)
+    return order, k
 
 
 #: Names of the paper's initial-branch edge orders (``edge_order_rank``).
 EDGE_ORDERS = ("truss", "dgn", "mdg")
 
 
-def edge_order_rank(g: LocalGraph, kind: str) -> list[Pair]:
+def edge_order_rank(g: LocalGraph, kind: str) -> np.ndarray:
     """The edges of ``g`` in rank order under one of the paper's
-    initial-branch edge orders.
+    initial-branch edge orders, as positions in ``g.eu``/``g.ev``.
 
     - ``"truss"``: the truss-based ordering (HBBMC++ default).
     - ``"dgn"``: edges ordered lexicographically by the degeneracy positions
       of their endpoints (Table VI, HBBMC-dgn).
     - ``"mdg"``: edges in non-decreasing order of min(deg(u), deg(v)), the
-      upper bound on an edge branch's candidate size (Table VI, HBBMC-mdg).
+      upper bound on an edge branch's candidate size (Table VI, HBBMC-mdg),
+      ties in (u, v) order.
 
     Any total order is *correct* (each maximal clique still belongs to exactly
     one root edge — its rank-minimal edge); only the branch-size bound tau is
@@ -220,10 +204,12 @@ def edge_order_rank(g: LocalGraph, kind: str) -> list[Pair]:
     if kind not in EDGE_ORDERS:
         raise ValueError(f"unknown edge order {kind!r}; one of {list(EDGE_ORDERS)}")
     if kind == "truss":
-        return truss_order(g).order
+        return _truss_peel(g)[0]
+    eu, ev = g.eu, g.ev
     if kind == "dgn":
-        pos = {v: i for i, v in enumerate(degeneracy_order(g).order)}
-        return sorted(
-            g.edges(), key=lambda e: (min(pos[e[0]], pos[e[1]]), max(pos[e[0]], pos[e[1]]), e)
-        )
-    return sorted(g.edges(), key=lambda e: (min(len(g.adj[e[0]]), len(g.adj[e[1]])), e))
+        pos = np.empty(g.n, dtype=np.int64)
+        pos[np.searchsorted(g.ids, degeneracy_order(g).order)] = np.arange(g.n)
+        pu, pv = pos[eu], pos[ev]
+        return np.lexsort((np.maximum(pu, pv), np.minimum(pu, pv)))
+    deg = g.deg
+    return np.argsort(np.minimum(deg[eu], deg[ev]), kind="stable")

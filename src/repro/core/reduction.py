@@ -5,86 +5,108 @@ A simplified-but-exact variant of the reduction rules of Deng et al.
 (VLDB'24) [15]: a vertex of degree <= 2 participates only in maximal cliques
 of size <= 3, all of which are enumerable by inspecting its current
 neighborhood. Peeling cascades (removals can push neighbors under the
-threshold).
+threshold) and removes exactly the vertices outside the 3-core, which is
+unique (Batagelj & Zaversnik, 2003).
 
-The peel is a worklist over the caller's ``g.adj``, which it only reads:
-integer degree counters, a list seeded with every vertex of degree <= 2,
-and a vertex appended again only when its degree falls to exactly 2, so
-each vertex is popped once. Peeling low-degree vertices in *any* order
-removes exactly the vertices outside the 3-core, which is unique
-(Batagelj & Zaversnik, 2003), so the pop order changes neither the removed
-set nor the reduced graph. It does not change the clique set either: a
-removed vertex's cliques are those of its neighbours still present when it
-goes, filtered by ``blocked``. Only the order of ``cliques`` and the
-``blocked`` entries that contain a removed vertex depend on it, and the
-runners sort the output and search only the core.
+GR runs in numpy on the graph's canonical edge arrays, which it only reads.
+The peel is round-synchronous: round r removes every live vertex of degree
+<= 2, then lowers its live neighbours' degrees. That is one valid
+sequential peel, in order of each removed vertex's *elimination key*
+(round, index); a core vertex's key is above every removed one's. When x
+goes in that order, its live neighbours are R(x), the neighbours of x with
+a larger key, and |R(x)| <= 2. The sequential rules then give GR's cliques
+in closed form:
 
-Exactness bookkeeping (DESIGN.md §3): when v is removed, every *future*
-clique that is a nonempty clique-subset of N(v) (necessarily of size <= 2)
-has v as a phantom blocker and must never be emitted, by the peel itself or
-by the later branch-and-bound run on the reduced graph. Those subsets are
-recorded in ``blocked``; all size <= 2 emissions are filtered against it.
-A phantom blocker of a size >= 3 clique would have had degree >= 3 at its
-removal time — impossible here — so size <= 2 filtering is exact. Every
-removed w still has all of N(w) ∩ core when it goes, so the core part of
-``blocked`` is the same for every pop order.
+- each vertex of degree 0;
+- x ∪ R(x) for each removed x whose R(x) is an edge {a, b} (a triangle);
+- each edge (x, y) with y ∈ R(x) that lies in none of those triangles: an
+  edge inside one is either its x's own, or its {a, b}, which has a common
+  neighbour removed before both ends and so is not maximal.
+
+Exactness bookkeeping (DESIGN.md §3): when w is removed, every *future*
+clique that is a nonempty clique-subset of N(w) (necessarily of size <= 2)
+has w as a phantom blocker and must never be emitted by the later
+branch-and-bound run on the core. The core's blocked sets are ``{a}`` for
+each core vertex with a removed neighbour, and ``{a, b}`` for each removed w
+with R(w) = {a, b}, both in the core and adjacent; ``Enumerator.emit``
+filters every size <= 2 clique against them. A phantom blocker of a size
+>= 3 clique would have had degree >= 3 at its removal time — impossible
+here — so size <= 2 filtering is exact. Every removed w still has all of
+N(w) ∩ core when it goes, so these sets are the same for every valid peel
+order, as are the removed set, the core and the clique set.
+
+Only the core's adjacency sets are ever built: the reduced graph keeps its
+canonical arrays, and its ``adj`` is built from them on first use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .localgraph import LocalGraph
+import numpy as np
+
+from .localgraph import LocalGraph, gather
 
 
 @dataclass
 class Reduction:
     reduced: LocalGraph  # the 3-core of g: every vertex has degree >= 3
     cliques: list[tuple[int, ...]]
-    blocked: set[frozenset[int]]
+    blocked: set[frozenset[int]]  # the core's blocked sets
     removed: int
 
 
 def reduce_graph(g: LocalGraph) -> Reduction:
     """Apply GR without modifying ``g``."""
-    adj = g.adj
-    deg = {v: len(nbrs) for v, nbrs in adj.items()}
-    blocked: set[frozenset[int]] = set()
-    cliques: list[tuple[int, ...]] = []
-
-    def emit(c: tuple[int, ...]) -> None:
-        """Record the sorted clique ``c`` unless a removed vertex blocks it."""
-        if len(c) <= 2 and frozenset(c) in blocked:
-            return
-        cliques.append(c)
-
-    work = [v for v, d in deg.items() if d <= 2]
-    gone: set[int] = set()
-    while work:
-        v = work.pop()
-        nbrs = [u for u in adj[v] if u not in gone]
-        if not nbrs:
-            emit((v,))
-        elif len(nbrs) == 1:
-            (u,) = nbrs
-            emit((v, u) if v < u else (u, v))
-            blocked.add(frozenset((u,)))
-        else:
-            a, b = nbrs
-            if b in adj[a]:
-                emit(tuple(sorted((v, a, b))))
-                blocked.update(
-                    (frozenset((a,)), frozenset((b,)), frozenset((a, b)))
-                )
-            else:
-                emit((v, a) if v < a else (a, v))
-                emit((v, b) if v < b else (b, v))
-                blocked.update((frozenset((a,)), frozenset((b,))))
-        gone.add(v)
-        for u in nbrs:
-            deg[u] -= 1
-            if deg[u] == 2:
-                work.append(u)
-    core = {v: nbrs - gone for v, nbrs in adj.items() if v not in gone}
-    return Reduction(
-        reduced=LocalGraph(core), cliques=cliques, blocked=blocked, removed=len(gone)
-    )
+    ids, deg, eu, ev = g.ids, g.deg, g.eu, g.ev
+    n = len(ids)
+    ptr, nbr = g.csr()
+    # Round-synchronous 3-core peel; a core vertex keeps round n.
+    live_deg = deg.copy()
+    rnd = np.full(n, n, dtype=np.int64)
+    frontier = np.flatnonzero(deg <= 2)
+    r = 0
+    while frontier.size:
+        rnd[frontier] = r
+        hit = gather(ptr, frontier, nbr)
+        hit = hit[rnd[hit] == n]
+        live_deg -= np.bincount(hit, minlength=n)
+        hit = np.unique(hit)
+        frontier = hit[live_deg[hit] <= 2]
+        r += 1
+    core = rnd == n
+    key = rnd * n + np.arange(n)
+    # Every edge with a removed end, oriented from x (smaller key) to y in
+    # R(x), grouped by x.
+    touched = ~(core[eu] & core[ev])
+    a, b = eu[touched], ev[touched]
+    flip = key[a] > key[b]
+    x = np.where(flip, b, a)
+    y = np.where(flip, a, b)
+    by_x = np.argsort(x, kind="stable")
+    x, y = x[by_x], y[by_x]
+    # x with |R(x)| = 2 is two consecutive rows; its R(x) = {p, q}.
+    two = np.flatnonzero(x[1:] == x[:-1])
+    p, q = np.minimum(y[two], y[two + 1]), np.maximum(y[two], y[two + 1])
+    pq_key = p * n + q
+    is_tri = np.isin(pq_key, eu * n + ev)
+    tri = two[is_tri]
+    tx, tp, tq = x[tri], p[is_tri], q[is_tri]
+    # Edges (x, y) outside every triangle: neither x's own nor a blocked pair.
+    in_tri = np.zeros(len(x), dtype=bool)
+    in_tri[tri] = in_tri[tri + 1] = True
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    pair = ~in_tri & ~np.isin(lo * n + hi, pq_key[is_tri])
+    tri_sorted = np.sort(np.stack((tx, tp, tq), axis=1), axis=1)
+    cliques = [
+        *((v,) for v in ids[deg == 0].tolist()),
+        *map(tuple, ids[tri_sorted].tolist()),
+        *zip(ids[lo[pair]].tolist(), ids[hi[pair]].tolist()),
+    ]
+    blocked = {frozenset((v,)) for v in ids[np.unique(y[core[y]])].tolist()}
+    both = core[tp] & core[tq]
+    blocked.update(map(frozenset, zip(ids[tp[both]].tolist(), ids[tq[both]].tolist())))
+    # The core keeps its canonical arrays, re-indexed; (eu, ev) order holds.
+    new = np.cumsum(core) - 1
+    kept = ~touched
+    reduced = LocalGraph.from_arrays(ids[core], new[eu[kept]], new[ev[kept]])
+    return Reduction(reduced=reduced, cliques=cliques, blocked=blocked, removed=int(n - core.sum()))

@@ -29,4 +29,4 @@ def to_local(edges: DataFrame) -> LocalGraph:
     ``LocalGraph.from_edges`` drops the self-loops and merges the duplicate
     and reversed pairs."""
     pdf = edges.toPandas()
-    return LocalGraph.from_edges(zip(pdf["src"].tolist(), pdf["dst"].tolist()))
+    return LocalGraph.from_edges(pdf[["src", "dst"]].to_numpy(dtype=np.int64))

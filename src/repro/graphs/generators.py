@@ -219,7 +219,4 @@ def social_edges(
 
 def to_local(edges: np.ndarray, n: int | None = None) -> LocalGraph:
     """Edge array -> LocalGraph; ``n`` adds isolated vertices 0..n-1."""
-    return LocalGraph.from_edges(
-        (tuple(e) for e in edges.tolist()),
-        vertices=range(n) if n is not None else None,
-    )
+    return LocalGraph.from_edges(edges, vertices=range(n) if n is not None else None)

@@ -17,6 +17,7 @@ from repro.graphs.datasets import load_edges, load_local
 from repro.graphs.edgelist import edges_df
 from repro.graphs.generators import er_edges, social_edges, to_local
 from repro.reference import reference_mce
+from tests.test_reduction import STAR, TREE
 
 
 def _dist_cliques(res):
@@ -43,12 +44,17 @@ def test_distributed_matches_local(spark, social_pair, alg):
 
 
 #: Degenerate inputs as edge arrays. GR consumes every one of them but the
-#: last, which puts vertex ids near 10**12 through the search.
+#: last, which puts vertex ids near 10**12 through the search. An edge
+#: DataFrame carries no vertex list, so isolated vertices reach both paths
+#: only as self-loop rows, which both drop.
 DEGENERATE = {
     "empty": np.zeros((0, 2), dtype=np.int64),
+    "self_loops_only": np.array([(v, v) for v in range(5)]),
     "single_edge": np.array([(0, 1)]),
     "path_consumed_by_gr": np.array([(0, 1), (1, 2), (2, 3), (3, 4)]),
     "triangle_and_far_edge": np.array([(0, 1), (1, 2), (0, 2), (10, 11)]),
+    "star": STAR,
+    "tree": TREE,
     "huge_ids": social_edges(30, 3, 2, caves=(2, 6, 2)) + 10**12,
 }
 

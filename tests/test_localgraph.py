@@ -1,4 +1,5 @@
 """Unit tests for the LocalGraph adjacency structure."""
+import numpy as np
 import pytest
 
 from repro.core.localgraph import LocalGraph
@@ -44,3 +45,26 @@ def test_edges_canonical(tri):
 def test_density(tri):
     assert tri.density() == pytest.approx(1.0)
     assert LocalGraph({}).density() == 0.0
+
+
+def test_from_edges_array_matches_list():
+    """An (m, 2) array with self-loops, reversed and repeated rows, huge
+    ids and extra ``vertices`` gives the graph the list of pairs gives."""
+    rows = [(3, 1), (1, 3), (2, 2), (1, 2), (3, 1), (2, 1), (10**12, 1)]
+    a = LocalGraph.from_edges(np.array(rows), vertices=[0, 2, 7])
+    b = LocalGraph.from_edges(rows, vertices=[0, 2, 7])
+    want = {0: set(), 1: {2, 3, 10**12}, 2: {1}, 3: {1}, 7: set(), 10**12: {1}}
+    assert a.adj == b.adj == want
+    assert (a.n, a.m) == (b.n, b.m) == (6, 3)
+    assert list(a.edges()) == list(b.edges()) == [(1, 2), (1, 3), (1, 10**12)]
+
+
+def test_arrays_derived_from_adj():
+    """A graph built from sets derives the arrays ``from_edges`` stores."""
+    rows = [(5, 1), (1, 9), (9, 5), (2, 9)]
+    a = LocalGraph.from_edges(rows, vertices=[4])
+    b = LocalGraph({v: set(nbrs) for v, nbrs in a.adj.items()})
+    for name in ("ids", "deg", "eu", "ev"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.ids.tolist() == [1, 2, 4, 5, 9]
+    assert a.deg.tolist() == [2, 1, 0, 2, 3]

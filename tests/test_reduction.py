@@ -93,10 +93,21 @@ def test_two_triangles_sharing_an_edge_cascade():
 
 
 # -- GR by its order-free definition --------------------------------------
+#: A star and a tree (BA with one edge per new vertex): GR consumes both.
+STAR = np.array([(0, i) for i in range(1, 8)])
+TREE = ba_edges(60, 1, 3)
+
 GR_GRAPHS = [
     *[pytest.param(lambda s=s: to_local(ba_edges(60, 2, s), 60), id=f"ba-{s}") for s in range(8)],
     *[pytest.param(lambda s=s: to_local(er_edges(50, 140, s), 50), id=f"er-{s}") for s in range(8)],
     pytest.param(tail_graph, id="tail"),
+    # Degenerate inputs.
+    pytest.param(lambda: LocalGraph.from_edges([]), id="empty"),
+    pytest.param(lambda: to_local(np.zeros((0, 2), dtype=np.int64), 5), id="isolated"),
+    pytest.param(lambda: LocalGraph.from_edges([(9, 4)]), id="single-edge"),
+    pytest.param(lambda: to_local(STAR), id="star"),
+    pytest.param(lambda: to_local(TREE), id="tree"),
+    pytest.param(lambda: to_local(ba_edges(60, 2, 0) + 10**12), id="huge-ids"),
 ]
 
 
@@ -149,6 +160,8 @@ def test_gr_core_blocked_sets(make):
 def test_gr_leaves_the_input_untouched(make):
     g = make()
     before = {v: set(nbrs) for v, nbrs in g.adj.items()}
+    arrays = [a.copy() for a in (g.ids, g.deg, g.eu, g.ev)]
     red = reduce_graph(g)
     assert g.adj == before
     assert not {id(s) for s in g.adj.values()} & {id(s) for s in red.reduced.adj.values()}
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, (g.ids, g.deg, g.eu, g.ev)))
