@@ -305,7 +305,7 @@ def _ebb(
 ALGORITHMS: dict[str, dict] = {
     # Table II: ours vs. the four state-of-the-art VBBMC+GR baselines [15].
     # Naudé's refined pivot [12] is not reproduced: RRef is the global-root
-    # pivot BK, and Ref++ is HBBMC++ (DESIGN.md §4).
+    # pivot BK (BK_Pivot + GR), and Table III's Ref++ is not run (DESIGN.md §4).
     "HBBMC++": dict(root="truss", kernel="tomita", d=1, et_t=3),
     "RRef": dict(root="global", kernel="tomita", et_t=0),
     "RDegen": dict(root="degeneracy", kernel="tomita", et_t=0),
@@ -313,7 +313,6 @@ ALGORITHMS: dict[str, dict] = {
     "RFac": dict(root="degeneracy", kernel="fac", et_t=0),
     # Table III: ablation + hybrid with other VBBMC kernels.
     "HBBMC+": dict(root="truss", kernel="tomita", d=1, et_t=0),
-    "Ref++": dict(root="truss", kernel="tomita", d=1, et_t=3),
     "Rcd++": dict(root="truss", kernel="rcd", d=1, et_t=3),
     "Fac++": dict(root="truss", kernel="fac", d=1, et_t=3),
     # Table VI: initial-branch ordering variants (all with ET).

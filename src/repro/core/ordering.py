@@ -10,9 +10,10 @@ These are the peels the paper's bounds rely on:
   is round-synchronous and runs in numpy: at level k one round removes every
   live edge with support <= k, in (u, v) order. Every edge's support when its
   round starts is at most k, so the largest level reached is ``tau`` (<
-  delta), the truss number minus 2, the same value the greedy min-support
-  peel (``repro.reference.greedy_truss_order``) reports; in HBBMC the
-  candidate graph of every root edge branch has at most ``tau`` vertices.
+  delta), the truss number minus 2, the same value the sequential greedy
+  min-support peel reports (the tests' oracle, ``tests/oracles.py``); in
+  HBBMC the candidate graph of every root edge branch has at most ``tau``
+  vertices.
 
 The truss peel and the edge orders read the graph's canonical edge arrays
 (``repro.core.localgraph``), and ``edge_order_rank`` returns positions in

@@ -108,5 +108,5 @@ def reduce_graph(g: LocalGraph) -> Reduction:
     # The core keeps its canonical arrays, re-indexed; (eu, ev) order holds.
     new = np.cumsum(core) - 1
     kept = ~touched
-    reduced = LocalGraph.from_arrays(ids[core], new[eu[kept]], new[ev[kept]])
+    reduced = LocalGraph(ids[core], new[eu[kept]], new[ev[kept]])
     return Reduction(reduced=reduced, cliques=cliques, blocked=blocked, removed=int(n - core.sum()))

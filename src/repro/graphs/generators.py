@@ -1,15 +1,14 @@
 """Deterministic synthetic graph generators (numpy, seeded).
 
-Each generator returns a canonical edge array of shape (m, 2) with
-``u < v`` and no duplicates; ``to_local`` / Spark wrappers build the
-structures the kernels and DataFrame jobs consume. Models:
+Each generator returns a canonical edge array of shape (m, 2): ``u < v``,
+no duplicates, rows sorted by (u, v). ``to_local`` builds the graph the
+kernels read; ``repro.graphs.edgelist.edges_df`` the Spark DataFrame.
+Models:
 
-- ``er_edges``            Erdős–Rényi G(n, m), the tests' random inputs
 - ``ba_edges``            Barabási–Albert preferential attachment (BA model)
 - ``powerlaw_cluster_edges``  Holme–Kim: BA plus triangle-closure steps —
                           power-law degrees with high clustering (web graphs)
-- ``caveman_edges``       ring of k-cliques with optional extra random
-                          chords (collaboration / mesh-like graphs)
+- ``social_edges``        the composite model of the Table I surrogates
 """
 from __future__ import annotations
 
@@ -19,44 +18,10 @@ from ..core.localgraph import LocalGraph
 
 
 def _canon(pairs: list[tuple[int, int]]) -> np.ndarray:
-    """Dedup + canonicalize (u < v) an edge list; stable order for
-    determinism."""
-    seen: set[tuple[int, int]] = set()
-    out: list[tuple[int, int]] = []
-    for u, v in pairs:
-        if u == v:
-            continue
-        e = (u, v) if u < v else (v, u)
-        if e not in seen:
-            seen.add(e)
-            out.append(e)
-    if not out:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.asarray(out, dtype=np.int64)
-
-
-def er_edges(n: int, m: int, seed: int = 0) -> np.ndarray:
-    """G(n, m): m distinct uniform edges (the model of the paper's
-    Appendix D sweeps, which are not run here; the tests use it)."""
-    rng = np.random.default_rng(seed)
-    max_m = n * (n - 1) // 2
-    m = min(m, max_m)
-    seen: set[tuple[int, int]] = set()
-    out: list[tuple[int, int]] = []
-    while len(out) < m:
-        k = (m - len(out)) * 2 + 16
-        us = rng.integers(0, n, k)
-        vs = rng.integers(0, n, k)
-        for u, v in zip(us.tolist(), vs.tolist()):
-            if u == v:
-                continue
-            e = (u, v) if u < v else (v, u)
-            if e not in seen:
-                seen.add(e)
-                out.append(e)
-                if len(out) == m:
-                    break
-    return np.asarray(out, dtype=np.int64)
+    """Canonical rows of an edge list (``LocalGraph.from_edges``): self-loops
+    dropped, each edge once as (u, v) with u < v, sorted by (u, v)."""
+    g = LocalGraph.from_edges(pairs)
+    return g.ids[np.stack((g.eu, g.ev), axis=1)]
 
 
 def ba_edges(n: int, m_attach: int, seed: int = 0) -> np.ndarray:
@@ -120,31 +85,6 @@ def powerlaw_cluster_edges(
     return _canon(pairs)
 
 
-def caveman_edges(
-    n_caves: int,
-    cave_size: int,
-    n_chords: int = 0,
-    seed: int = 0,
-) -> np.ndarray:
-    """Ring of ``n_caves`` cliques of ``cave_size`` vertices, consecutive
-    caves bridged by one edge, plus ``n_chords`` random cross edges."""
-    rng = np.random.default_rng(seed)
-    pairs: list[tuple[int, int]] = []
-    n = n_caves * cave_size
-    for c in range(n_caves):
-        base = c * cave_size
-        for i in range(cave_size):
-            for j in range(i + 1, cave_size):
-                pairs.append((base + i, base + j))
-        nxt = ((c + 1) % n_caves) * cave_size
-        pairs.append((base, nxt + 1 if cave_size > 1 else nxt))
-    for _ in range(n_chords):
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n))
-        pairs.append((u, v))
-    return _canon(pairs)
-
-
 def social_edges(
     n: int,
     m_attach: int,
@@ -177,9 +117,9 @@ def social_edges(
     """
     rng = np.random.default_rng(seed + 1_000_003)
     if p_triad > 0:
-        pairs = [tuple(e) for e in powerlaw_cluster_edges(n, m_attach, p_triad, seed).tolist()]
+        pairs = powerlaw_cluster_edges(n, m_attach, p_triad, seed).tolist()
     else:
-        pairs = [tuple(e) for e in ba_edges(n, m_attach, seed).tolist()]
+        pairs = ba_edges(n, m_attach, seed).tolist()
     nxt = n
     if caves is not None:
         count, k, n_rm = caves

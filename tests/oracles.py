@@ -1,19 +1,28 @@
-"""Trusted references, used only by tests.
+"""Test oracles and test-only graph generators.
 
 ``reference_mce`` is the plain Bron–Kerbosch recursion (no pivot, no
 orderings, no reductions) — small enough to audit by eye. It is itself
-validated against ``brute_force_mce`` (subset enumeration) on tiny graphs,
-and every production algorithm is fuzzed against it.
+validated against ``brute_force_mce`` (subset enumeration) on tiny graphs
+(``test_reference.py``), and every production algorithm is fuzzed against
+it; ``verify_cliques`` checks a clique list against it.
 
 ``greedy_truss_order`` is the sequential min-support edge peel, the oracle
-for the truss number tau that ``core.ordering.truss_order`` must report.
+for the truss number tau that ``repro.core.ordering.truss_order`` must
+report.
+
+``er_edges`` (Erdős–Rényi) and ``caveman_edges`` (ring of cliques) are the
+tests' random inputs; like ``repro.graphs.generators``, they return
+canonical edge arrays with rows sorted by (u, v).
 """
 from __future__ import annotations
 
 from itertools import combinations
 
-from .core.localgraph import LocalGraph
-from .core.ordering import TrussResult
+import numpy as np
+
+from repro.core.localgraph import LocalGraph
+from repro.core.ordering import TrussResult
+from repro.graphs.generators import _canon
 
 
 def reference_mce(g: LocalGraph) -> list[tuple[int, ...]]:
@@ -38,7 +47,7 @@ def reference_mce(g: LocalGraph) -> list[tuple[int, ...]]:
 
 def brute_force_mce(g: LocalGraph) -> list[tuple[int, ...]]:
     """Subset enumeration — only for graphs with <= ~16 vertices."""
-    vs = g.vertices()
+    vs = g.ids.tolist()
     if len(vs) > 18:
         raise ValueError("brute force limited to tiny graphs")
     adj = g.adj
@@ -98,7 +107,7 @@ def greedy_truss_order(g: LocalGraph) -> TrussResult:
     # ints, not tuples.
     span = (max(adj) + 1) if adj else 1
     sup: dict[int, int] = {}
-    for u, v in g.edges():
+    for u, v in g.edges_at(slice(None)):
         sup[u * span + v] = len(adj[u] & adj[v])
     # Bucket queue over support values: each bucket is a list read from a
     # head index. An edge whose support drops is appended to its new bucket
@@ -145,3 +154,52 @@ def greedy_truss_order(g: LocalGraph) -> TrussResult:
         au.discard(v)
         av.discard(u)
     return TrussResult(order=[divmod(e, span) for e in order_codes], tau=tau)
+
+
+def er_edges(n: int, m: int, seed: int = 0) -> np.ndarray:
+    """Erdős–Rényi G(n, m): m distinct uniform edges (the model of the
+    paper's Appendix D sweeps, which are not run here)."""
+    rng = np.random.default_rng(seed)
+    max_m = n * (n - 1) // 2
+    m = min(m, max_m)
+    seen: set[tuple[int, int]] = set()
+    out: list[tuple[int, int]] = []
+    while len(out) < m:
+        k = (m - len(out)) * 2 + 16
+        us = rng.integers(0, n, k)
+        vs = rng.integers(0, n, k)
+        for u, v in zip(us.tolist(), vs.tolist()):
+            if u == v:
+                continue
+            e = (u, v) if u < v else (v, u)
+            if e not in seen:
+                seen.add(e)
+                out.append(e)
+                if len(out) == m:
+                    break
+    return _canon(out)
+
+
+def caveman_edges(
+    n_caves: int,
+    cave_size: int,
+    n_chords: int = 0,
+    seed: int = 0,
+) -> np.ndarray:
+    """Ring of ``n_caves`` cliques of ``cave_size`` vertices, consecutive
+    caves bridged by one edge, plus ``n_chords`` random cross edges."""
+    rng = np.random.default_rng(seed)
+    pairs: list[tuple[int, int]] = []
+    n = n_caves * cave_size
+    for c in range(n_caves):
+        base = c * cave_size
+        for i in range(cave_size):
+            for j in range(i + 1, cave_size):
+                pairs.append((base + i, base + j))
+        nxt = ((c + 1) % n_caves) * cave_size
+        pairs.append((base, nxt + 1 if cave_size > 1 else nxt))
+    for _ in range(n_chords):
+        u = int(rng.integers(0, n))
+        v = int(rng.integers(0, n))
+        pairs.append((u, v))
+    return _canon(pairs)

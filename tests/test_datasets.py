@@ -11,7 +11,7 @@ from repro.graphs.datasets import (
     load_local,
 )
 from repro.core.hbbmc import run_named
-from repro.reference import reference_mce
+from tests.oracles import reference_mce
 
 
 def test_sixteen_datasets_in_table_order():

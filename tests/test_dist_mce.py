@@ -1,22 +1,26 @@
 """The distributed root-branch-partitioned MCE job emits exactly the local
 runner's clique set and counters, for every named algorithm."""
+import json
 import os
+import subprocess
 import sys
 import zipfile
 import zipimport
+from pathlib import Path
 
 import numpy as np
 import pytest
 from pyspark import SparkContext
 from pyspark.accumulators import _accumulatorRegistry
 
+import repro
 from repro.core.hbbmc import ALGORITHMS, run_named
 from repro.core.stats import BranchStats
 from repro.dist.mce import _drop_zip_finders, mce_distributed
 from repro.graphs.datasets import load_edges, load_local
 from repro.graphs.edgelist import edges_df
-from repro.graphs.generators import er_edges, social_edges, to_local
-from repro.reference import reference_mce
+from repro.graphs.generators import social_edges, to_local
+from tests.oracles import er_edges, reference_mce
 from tests.test_reduction import STAR, TREE
 
 
@@ -270,3 +274,85 @@ def test_drop_zip_finders_keeps_zip_imports_working(tmp_path, monkeypatch):
             sys.modules.pop(name, None)
         for path in [p for p in sys.path_importer_cache if p.startswith(str(archive))]:
             del sys.path_importer_cache[path]
+
+
+#: Loaded by every Python worker of the subprocess below: the first attempt
+#: of partition 0 fails after it has emitted its rows and added its counters,
+#: by raising or, with ``INJECT_FAILURE=exit``, by killing its worker.
+RETRY_SITECUSTOMIZE = '''
+import functools
+import os
+
+import repro.dist.mce as mce
+from pyspark import TaskContext
+
+_drop = mce._drop_zip_finders
+_marker = os.path.join(os.path.dirname(os.path.abspath(__file__)), "failed-once")
+
+
+@functools.wraps(_drop)
+def _drop_zip_finders():
+    ctx = TaskContext.get()
+    if ctx is not None and ctx.partitionId() == 0 and ctx.attemptNumber() == 0:
+        open(_marker, "w").close()
+        if os.environ.get("INJECT_FAILURE") == "exit":
+            os._exit(1)
+        raise RuntimeError("injected failure of the first attempt of partition 0")
+    _drop()
+
+
+mce._drop_zip_finders = _drop_zip_finders
+'''
+
+RETRY_JOB = '''
+import json
+import sys
+
+from pyspark.sql import SparkSession
+
+from repro.dist.mce import mce_distributed
+from repro.graphs.datasets import load_edges
+from repro.graphs.edgelist import edges_df
+
+spark = (
+    SparkSession.builder.appName("retry")
+    .config("spark.executorEnv.PYTHONPATH", sys.argv[1])
+    .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+    .getOrCreate()
+)
+spark.sparkContext.setLogLevel("OFF")
+res = mce_distributed(spark, edges_df(spark, load_edges("DG", "test")), "HBBMC++", num_partitions=2)
+rows = [r.clique for r in res.cliques_df.collect()]
+print(json.dumps({"rows": rows, "stats": res.stats.as_dict(), "n_cliques": res.n_cliques}))
+spark.stop()
+'''
+
+
+@pytest.mark.parametrize("how", ["raise", "exit"])
+def test_retried_task_keeps_rows_and_counters_exact(tmp_path, how):
+    """A kernel task that fails after emitting its rows and adding its
+    counters, and then succeeds on its retry (``local[2,2]`` allows one),
+    leaves the clique rows and the counters exactly the local runner's: the
+    failed attempt's rows and accumulator updates are both dropped."""
+    src = Path(repro.__file__).resolve().parent.parent
+    (tmp_path / "sitecustomize.py").write_text(RETRY_SITECUSTOMIZE)
+    env = dict(os.environ, PYTHONPATH=str(src), INJECT_FAILURE=how)
+    env["PYSPARK_SUBMIT_ARGS"] = (
+        "--master local[2,2] --driver-memory 1g --conf spark.driver.host=127.0.0.1"
+        " --conf spark.ui.enabled=false pyspark-shell"
+    )
+    # The workers' PYTHONPATH puts the wrapper ahead of src; the driver's
+    # does not, so only the tasks fail.
+    worker_path = os.pathsep.join((str(tmp_path), str(src)))
+    out = subprocess.run(
+        [sys.executable, "-c", RETRY_JOB, worker_path],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    got = json.loads(out.stdout.strip().splitlines()[-1])
+    local = run_named(load_local("DG", "test"), "HBBMC++")
+    assert (tmp_path / "failed-once").exists()
+    cliques = sorted(tuple(int(x) for x in row.split(",")) for row in got["rows"])
+    assert cliques == local.cliques
+    assert got["stats"] == local.stats.as_dict()
+    assert len(got["rows"]) == got["n_cliques"] == local.n_cliques

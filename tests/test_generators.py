@@ -2,14 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.graphs.generators import (
-    ba_edges,
-    caveman_edges,
-    er_edges,
-    powerlaw_cluster_edges,
-    social_edges,
-    to_local,
-)
+from repro.graphs.generators import ba_edges, powerlaw_cluster_edges, social_edges, to_local
+from tests.oracles import caveman_edges, er_edges
 
 #: Each generator under a short name, which the test ids carry.
 GENERATORS = {
@@ -36,6 +30,7 @@ def test_canonical_form(model, params, seed):
     assert e.ndim == 2 and e.shape[1] == 2
     assert (e[:, 0] < e[:, 1]).all(), "edges must be oriented src < dst"
     assert len({tuple(r) for r in e.tolist()}) == len(e), "no duplicate edges"
+    assert (np.lexsort((e[:, 1], e[:, 0])) == np.arange(len(e))).all(), "rows sorted by (u, v)"
 
 
 @pytest.mark.parametrize("model,params", CASES)

@@ -19,15 +19,8 @@ from repro.core.ordering import EDGE_ORDERS, truss_order
 from repro.core.reduction import reduce_graph
 from repro.core.stats import BranchStats
 from repro.graphs.datasets import DATASET_NAMES, load_local
-from repro.graphs.generators import (
-    ba_edges,
-    caveman_edges,
-    er_edges,
-    powerlaw_cluster_edges,
-    social_edges,
-    to_local,
-)
-from repro.reference import reference_mce, verify_cliques
+from repro.graphs.generators import ba_edges, powerlaw_cluster_edges, social_edges, to_local
+from tests.oracles import caveman_edges, er_edges, reference_mce, verify_cliques
 from tests.test_reduction import tail_graph
 
 #: An edge-oriented depth no branch reaches: the hybrid then never hands a
@@ -115,16 +108,12 @@ def test_isolated_vertices_and_odd_cliques():
 
 
 def test_empty_graph():
-    from repro.core.localgraph import LocalGraph
-
-    g = LocalGraph({})
+    g = LocalGraph.from_edges([])
     assert run_named(g, "HBBMC++").cliques == []
     assert run_named(g, "RDegen").cliques == []
 
 
 def test_single_edge_graph():
-    from repro.core.localgraph import LocalGraph
-
     g = LocalGraph.from_edges([(0, 1)])
     for name in ("HBBMC++", "RRef", "RDegen", "RRcd", "RFac"):
         assert run_named(g, name).cliques == [(0, 1)]
@@ -167,15 +156,11 @@ def test_et_ratio_between_zero_and_one():
 
 
 def test_run_named_rejects_unknown():
-    from repro.core.localgraph import LocalGraph
-
     with pytest.raises(ValueError, match="unknown algorithm"):
-        run_named(LocalGraph({}), "NOPE")
+        run_named(LocalGraph.from_edges([]), "NOPE")
 
 
 def test_hybrid_rejects_bad_depth():
-    from repro.core.localgraph import LocalGraph
-
     with pytest.raises(ValueError, match="d >= 1"):
         run_named(LocalGraph.from_edges([(0, 1)]), "HBBMC++", d=0)
 
@@ -272,7 +257,6 @@ PINNED_COUNTERS = {
     ("RRcd", None): (1540, 0, 0, 1325, 240, 0, 1325),
     ("RRef", None): (2407, 0, 0, 1325, 1, 0, 1325),
     ("Rcd++", None): (1830, 1421, 287, 1325, 1641, 0, 1325),
-    ("Ref++", None): (2083, 1180, 491, 1325, 1641, 0, 1325),
     ("VBBMC-dgn", None): (1601, 763, 379, 1325, 240, 0, 1325),
     ("HBBMC++", 2): (1524, 532, 253, 1325, 1641, 0, 1325),
     ("HBBMC-dgn", 2): (2233, 1112, 314, 1325, 1641, 0, 1325),
@@ -308,7 +292,6 @@ PINNED_COUNTERS_GR_HEAVY = {
     "RRcd": (474, 0, 0, 394, 172, 4338, 4732),
     "RRef": (851, 0, 0, 394, 1, 4338, 4732),
     "Rcd++": (367, 327, 52, 394, 704, 4338, 4732),
-    "Ref++": (379, 243, 108, 394, 704, 4338, 4732),
     "VBBMC-dgn": (452, 345, 80, 394, 172, 4338, 4732),
 }
 

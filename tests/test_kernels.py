@@ -5,14 +5,8 @@ import pytest
 from repro.core.hbbmc import run_named
 from repro.core.kernels import KERNELS, Enumerator, kernel_fn
 from repro.core.localgraph import LocalGraph
-from repro.graphs.generators import (
-    ba_edges,
-    caveman_edges,
-    er_edges,
-    powerlaw_cluster_edges,
-    to_local,
-)
-from repro.reference import reference_mce, verify_cliques
+from repro.graphs.generators import ba_edges, powerlaw_cluster_edges, to_local
+from tests.oracles import caveman_edges, er_edges, reference_mce, verify_cliques
 
 GRAPHS = [
     ("er-sparse", lambda s: to_local(er_edges(40, 120, s), 40)),

@@ -1,4 +1,4 @@
-"""Unit tests for the LocalGraph adjacency structure."""
+"""Unit tests for LocalGraph: its canonical edge arrays and adjacency sets."""
 import numpy as np
 import pytest
 
@@ -35,16 +35,16 @@ def test_isolated_vertices_via_vertices_param():
 
 def test_vertices_sorted():
     g = LocalGraph.from_edges([(3, 1), (2, 1)])
-    assert g.vertices() == [1, 2, 3]
+    assert g.ids.tolist() == [1, 2, 3]
 
 
 def test_edges_canonical(tri):
-    assert sorted(tri.edges()) == [(0, 1), (0, 2), (1, 2)]
+    assert sorted(tri.edges_at(slice(None))) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_density(tri):
     assert tri.density() == pytest.approx(1.0)
-    assert LocalGraph({}).density() == 0.0
+    assert LocalGraph.from_edges([]).density() == 0.0
 
 
 def test_from_edges_array_matches_list():
@@ -56,15 +56,5 @@ def test_from_edges_array_matches_list():
     want = {0: set(), 1: {2, 3, 10**12}, 2: {1}, 3: {1}, 7: set(), 10**12: {1}}
     assert a.adj == b.adj == want
     assert (a.n, a.m) == (b.n, b.m) == (6, 3)
-    assert list(a.edges()) == list(b.edges()) == [(1, 2), (1, 3), (1, 10**12)]
+    assert a.edges_at(slice(None)) == b.edges_at(slice(None)) == [(1, 2), (1, 3), (1, 10**12)]
 
-
-def test_arrays_derived_from_adj():
-    """A graph built from sets derives the arrays ``from_edges`` stores."""
-    rows = [(5, 1), (1, 9), (9, 5), (2, 9)]
-    a = LocalGraph.from_edges(rows, vertices=[4])
-    b = LocalGraph({v: set(nbrs) for v, nbrs in a.adj.items()})
-    for name in ("ids", "deg", "eu", "ev"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert a.ids.tolist() == [1, 2, 4, 5, 9]
-    assert a.deg.tolist() == [2, 1, 0, 2, 3]

@@ -7,8 +7,8 @@ import pytest
 from repro.core.localgraph import LocalGraph
 from repro.core.ordering import TrussResult, degeneracy_order, edge_order_rank, truss_order
 from repro.graphs.datasets import DATASET_NAMES, load_local
-from repro.graphs.generators import ba_edges, caveman_edges, er_edges, to_local
-from repro.reference import greedy_truss_order
+from repro.graphs.generators import ba_edges, to_local
+from tests.oracles import er_edges, greedy_truss_order
 from tests.test_reduction import tail_graph
 
 
@@ -35,7 +35,7 @@ def test_degeneracy_of_cycle():
 
 
 def test_degeneracy_empty_graph():
-    r = degeneracy_order(LocalGraph({}))
+    r = degeneracy_order(LocalGraph.from_edges([]))
     assert r.delta == 0 and r.order == r.later == []
 
 
@@ -93,7 +93,7 @@ def test_truss_greedy_min_support_invariant(seed):
     r = greedy_truss_order(g)
     adj = {v: set(ns) for v, ns in g.adj.items()}
     remaining_sup = {}
-    for u, v in g.edges():
+    for u, v in g.edges_at(slice(None)):
         remaining_sup[(u, v)] = len(adj[u] & adj[v])
     for e in r.order:
         u, v = e
@@ -111,7 +111,7 @@ def replay_levels(g, order):
     """Peel ``order`` one edge at a time, returning for each step the edge's
     support at removal and the largest minimum live support seen so far."""
     adj = {v: set(ns) for v, ns in g.adj.items()}
-    sup = {(u, v): len(adj[u] & adj[v]) for u, v in g.edges()}
+    sup = {(u, v): len(adj[u] & adj[v]) for u, v in g.edges_at(slice(None))}
     steps, level = [], 0
     for u, v in order:
         level = max(level, min(sup.values()))
@@ -228,8 +228,8 @@ def test_orders_are_deterministic():
 @pytest.mark.parametrize(
     "g,order,tau",
     [
-        pytest.param(LocalGraph({}), [], 0, id="empty"),
-        pytest.param(LocalGraph({3: set(), 8: set()}), [], 0, id="isolated"),
+        pytest.param(LocalGraph.from_edges([]), [], 0, id="empty"),
+        pytest.param(LocalGraph.from_edges([], vertices=[3, 8]), [], 0, id="isolated"),
         pytest.param(LocalGraph.from_edges([(9, 4)]), [(4, 9)], 0, id="single-edge"),
         pytest.param(complete(3), [(0, 1), (0, 2), (1, 2)], 1, id="triangle"),
     ],
@@ -243,7 +243,9 @@ def test_truss_order_huge_ids():
     mapped to dense indices in id order before any array is built."""
     g = load_local("OR", "test")
     off = 10**12
-    shifted = LocalGraph({v + off: {u + off for u in ns} for v, ns in g.adj.items()})
+    shifted = LocalGraph.from_edges(
+        [(u + off, v + off) for u, v in g.edges_at(slice(None))], vertices=g.ids + off
+    )
     r, rs = truss_order(g), truss_order(shifted)
     assert rs.tau == r.tau
     assert rs.order == [(u + off, v + off) for u, v in r.order]

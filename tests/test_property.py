@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.core.hbbmc import run_named
 from repro.core.localgraph import LocalGraph
-from repro.reference import reference_mce
+from tests.oracles import reference_mce
 from tests.test_hbbmc import EBBMC_D
 
 # A graph as a set of edges over up to 14 vertices (possibly disconnected,

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.localgraph import LocalGraph
 from repro.core.reduction import reduce_graph
-from repro.graphs.generators import ba_edges, er_edges, social_edges, to_local
-from repro.reference import reference_mce
+from repro.graphs.generators import ba_edges, social_edges, to_local
+from tests.oracles import er_edges, reference_mce
 
 
 def tail_graph(seed: int = 5) -> LocalGraph:

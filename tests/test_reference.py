@@ -2,8 +2,8 @@
 import pytest
 
 from repro.core.localgraph import LocalGraph
-from repro.graphs.generators import er_edges, to_local
-from repro.reference import brute_force_mce, reference_mce, verify_cliques
+from repro.graphs.generators import to_local
+from tests.oracles import brute_force_mce, er_edges, reference_mce, verify_cliques
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -24,7 +24,7 @@ def test_reference_isolated_vertex_is_1_clique():
 
 
 def test_reference_empty_graph():
-    assert reference_mce(LocalGraph({})) == []
+    assert reference_mce(LocalGraph.from_edges([])) == []
 
 
 def test_verify_accepts_reference_output():
