@@ -140,7 +140,7 @@ class RootPlan:
 
     config: MceConfig
     adj: dict[int, set[int]]  # the GR-reduced graph
-    blocked: set[frozenset[int]]  # GR blocked sets (Enumerator.emit)
+    blocked: set[frozenset[int]]  # GR blocked pairs (Enumerator.emit)
     # The roots in sweep order: edges in rank order (edge roots), vertices
     # in degeneracy order (degeneracy root), or None (global root).
     order: list[Pair] | list[int] | None
@@ -262,17 +262,18 @@ def _ebb(
     once ``depth`` reaches ``d``. ``rank`` (edge -> position in the root
     order) is read only below ``d``."""
     adj = enum.adj
-    # Prune dead branches at creation, without counting a call (the paper's
-    # call counts on large graphs — fewer calls than edges — imply the
-    # same): an empty candidate set emits at most S, and an exclusion vertex
-    # adjacent to every candidate blocks every clique of the branch.
+    # Prune dead branches at creation, without a call (the paper's call
+    # counts on large graphs — fewer calls than edges — imply the same): an
+    # empty candidate set emits at most S, and an exclusion vertex adjacent
+    # to every candidate blocks every clique of the branch. A live branch is
+    # one call, counted where it runs: by the kernel's _enter after a
+    # hand-off, here when this level sweeps it.
     if not C:
         if not X:
             enum.emit(S)
         return
     if any(C <= adj[x] for x in X):
         return
-    enum.stats.calls += 1
     if depth >= d:
         # Hand over to the vertex-oriented kernel under this branch's compat
         # adjacency (dual adjacency; see repro.core.kernels docstring).
@@ -281,6 +282,7 @@ def _ebb(
         kernel(S, C, X)
         enum.cadj = old_cadj
         return
+    enum.stats.calls += 1
     live = {u: C & cadj[u] for u in C}
     # Eq.(3): candidates with no compat edge — their only clique in this
     # branch is S ∪ {v}, maximal iff nothing else common-adjacent touches v.

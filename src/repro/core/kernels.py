@@ -50,8 +50,8 @@ included, and are appended to ``out`` in one batch; counting
 (``collect=False``), the branch adds the product of its components' MIS
 counts and builds no clique. Either way ``stats.cliques`` grows by the
 batch size. The one exception: when |S| + |F| + #components <= 2 a clique
-can have two vertices or fewer and so be a GR-blocked set, and those
-branches go through ``emit`` one clique at a time in both modes.
+can have two vertices and so be a GR-blocked pair, and those branches go
+through ``emit`` one clique at a time in both modes.
 """
 from __future__ import annotations
 
@@ -91,7 +91,7 @@ class Enumerator:
         c = tuple(sorted(clique))
         if not c:
             return
-        if len(c) <= 2 and frozenset(c) in self.blocked:
+        if len(c) == 2 and frozenset(c) in self.blocked:
             # Non-maximal against a vertex peeled by graph reduction
             # (DESIGN.md §3, "GR blocked sets").
             return
@@ -166,7 +166,7 @@ class Enumerator:
         F, comps = inverse_components(C, nbr_in_c)
         out = self.out
         if len(S) + len(F) + len(comps) <= 2:
-            # A clique of size <= 2 may be a GR-blocked set: emit filters it.
+            # A clique of size <= 2 may be a GR-blocked pair: emit filters it.
             for clique in enumerate_tplex(S, F, comps):
                 self.emit(clique)
         elif out is None:

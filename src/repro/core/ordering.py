@@ -71,14 +71,6 @@ def degeneracy_order(g: LocalGraph) -> DegeneracyResult:
     return DegeneracyResult(order=order, later=later, delta=delta)
 
 
-@dataclass(frozen=True)
-class TrussResult:
-    """Truss peel output: the edge order and tau."""
-
-    order: list[Pair]
-    tau: int
-
-
 def _triangles(deg: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     """Every triangle once, as a row of its three edge ids (positions in
     ``eu``/``ev``). Each edge is oriented from its lower to its higher
@@ -110,14 +102,7 @@ def _triangles(deg: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     return np.stack((np.repeat(np.arange(len(eu)), counts), e_aw, e_bw), axis=1)
 
 
-def truss_order(g: LocalGraph) -> TrussResult:
-    """The truss-based edge order of ``g``, as (u, v) pairs, and tau
-    (``_truss_peel``)."""
-    pos, tau = _truss_peel(g)
-    return TrussResult(order=g.edges_at(pos), tau=tau)
-
-
-def _truss_peel(g: LocalGraph) -> tuple[np.ndarray, int]:
+def truss_peel(g: LocalGraph) -> tuple[np.ndarray, int]:
     """The truss-based edge order, as positions in ``g``'s edge arrays, and
     tau, from a round-synchronous support peel (PKT, Kabir & Madduri, HPEC
     2017; after Wang & Cheng, PVLDB 2012).
@@ -205,7 +190,7 @@ def edge_order_rank(g: LocalGraph, kind: str) -> np.ndarray:
     if kind not in EDGE_ORDERS:
         raise ValueError(f"unknown edge order {kind!r}; one of {list(EDGE_ORDERS)}")
     if kind == "truss":
-        return _truss_peel(g)[0]
+        return truss_peel(g)[0]
     eu, ev = g.eu, g.ev
     if kind == "dgn":
         pos = np.empty(g.n, dtype=np.int64)

@@ -26,14 +26,15 @@ in closed form:
 Exactness bookkeeping (DESIGN.md §3): when w is removed, every *future*
 clique that is a nonempty clique-subset of N(w) (necessarily of size <= 2)
 has w as a phantom blocker and must never be emitted by the later
-branch-and-bound run on the core. The core's blocked sets are ``{a}`` for
-each core vertex with a removed neighbour, and ``{a, b}`` for each removed w
-with R(w) = {a, b}, both in the core and adjacent; ``Enumerator.emit``
-filters every size <= 2 clique against them. A phantom blocker of a size
->= 3 clique would have had degree >= 3 at its removal time — impossible
-here — so size <= 2 filtering is exact. Every removed w still has all of
-N(w) ∩ core when it goes, so these sets are the same for every valid peel
-order, as are the removed set, the core and the clique set.
+branch-and-bound run on the core. Every core vertex has at least three core
+neighbours, so the search on the core never emits a 1-clique, and the only
+such cliques it can reach are the pairs ``{a, b}`` of each removed w with
+R(w) = {a, b}, both in the core and adjacent: the core's blocked sets.
+``Enumerator.emit`` filters every 2-clique against them. A phantom blocker
+of a size >= 3 clique would have had degree >= 3 at its removal time —
+impossible here — so pair filtering is exact. Every removed w still has
+all of N(w) ∩ core when it goes, so these pairs are the same for every
+valid peel order, as are the removed set, the core and the clique set.
 
 Only the core's adjacency sets are ever built: the reduced graph keeps its
 canonical arrays, and its ``adj`` is built from them on first use.
@@ -51,7 +52,7 @@ from .localgraph import LocalGraph, gather
 class Reduction:
     reduced: LocalGraph  # the 3-core of g: every vertex has degree >= 3
     cliques: list[tuple[int, ...]]
-    blocked: set[frozenset[int]]  # the core's blocked sets
+    blocked: set[frozenset[int]]  # the core's blocked pairs
     removed: int
 
 
@@ -102,9 +103,8 @@ def reduce_graph(g: LocalGraph) -> Reduction:
         *map(tuple, ids[tri_sorted].tolist()),
         *zip(ids[lo[pair]].tolist(), ids[hi[pair]].tolist()),
     ]
-    blocked = {frozenset((v,)) for v in ids[np.unique(y[core[y]])].tolist()}
     both = core[tp] & core[tq]
-    blocked.update(map(frozenset, zip(ids[tp[both]].tolist(), ids[tq[both]].tolist())))
+    blocked = set(map(frozenset, zip(ids[tp[both]].tolist(), ids[tq[both]].tolist())))
     # The core keeps its canonical arrays, re-indexed; (eu, ev) order holds.
     new = np.cumsum(core) - 1
     kept = ~touched

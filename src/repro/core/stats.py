@@ -2,9 +2,11 @@
 
 These back the quantities reported in the paper's tables:
 
-- ``calls``      — recursive branch calls (vertex-oriented kernel calls plus
-                   edge-oriented recursion calls), the "#Calls" columns of
-                   Tables IV and V.
+- ``calls``      — branch calls, one per branch that runs (vertex-oriented
+                   kernel calls plus edge-oriented sweeps), the "#Calls"
+                   columns of Tables IV and V. An edge branch handed to
+                   the vertex kernel is one call, the kernel's; a branch
+                   pruned at creation is none.
 - ``et_plex``    — branches whose candidate graph is a t-plex (the ``b`` of
                    Table V's Ratio column).
 - ``et_applied`` — branches early-terminated (t-plex *and* empty exclusion

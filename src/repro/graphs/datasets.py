@@ -25,7 +25,7 @@ from math import log
 import numpy as np
 
 from ..core.localgraph import LocalGraph
-from ..core.ordering import degeneracy_order, truss_order
+from ..core.ordering import degeneracy_order, truss_peel
 from .generators import social_edges, to_local
 
 
@@ -147,7 +147,7 @@ def condition_holds(delta: int, tau: int, rho: float) -> bool:
 def compute_stats(g: LocalGraph) -> dict:
     """Measured Table I row for a graph: n, m, delta, tau, rho, condition."""
     delta = degeneracy_order(g).delta
-    tau = truss_order(g).tau
+    tau = truss_peel(g)[1]
     rho = g.density()
     return dict(
         n=g.n,

@@ -9,11 +9,15 @@ number (seconds, from the tables in Section V) next to the measured one.
 Every run is in process, on one core, as the paper times its tables on one
 machine, and counts cliques without building them (the rows read only the
 count, the counters and the time). All runs in a table assert they produce
-the same number of maximal cliques.
+the same number of maximal cliques and, from one more untimed run of each
+that builds them, the same clique set.
 """
 from __future__ import annotations
 
+import hashlib
+
 from .core.hbbmc import run_named
+from .core.reduction import reduce_graph
 from .graphs.datasets import (
     DATASET_NAMES,
     PAPER_STATS,
@@ -97,7 +101,8 @@ def table1(names=None, scale: str = "bench") -> list[dict]:
     rows = []
     for name in names or DATASET_NAMES:
         s = SURROGATES[name]
-        st = compute_stats(load_local(name, scale))
+        g = load_local(name, scale)
+        st = compute_stats(g)
         p = PAPER_STATS[name]
         rows.append(
             dict(
@@ -105,6 +110,7 @@ def table1(names=None, scale: str = "bench") -> list[dict]:
                 full_name=s.full_name,
                 category=s.category,
                 **{k: st[k] for k in ("n", "m", "delta", "tau", "rho", "condition")},
+                gr_removed=reduce_graph(g).removed,
                 paper_n=p["n"],
                 paper_m=p["m"],
                 paper_delta=p["delta"],
@@ -119,14 +125,15 @@ def table1(names=None, scale: str = "bench") -> list[dict]:
 def _sweep(runs, paper: dict[str, tuple], cells, names, scale) -> list[dict]:
     """Shared driver for Tables II–VI: load each dataset once, run every
     ``(prefix, algorithm, overrides)`` of ``runs`` on it in count mode, and
-    check the clique counts agree. A row holds ``{prefix}_s`` and
+    check the clique counts agree, and the clique sets of one untimed
+    collect-mode run of each. A row holds ``{prefix}_s`` and
     ``{prefix}_calls`` per run, then the columns ``cells(i, run, paper
     entry of run i)`` adds under the same prefix, then ``cliques``."""
     rows = []
     for name in names or DATASET_NAMES:
         g = load_local(name, scale)
         row: dict = {"dataset": name}
-        counts = set()
+        counts, digests = set(), set()
         for i, (prefix, alg, overrides) in enumerate(runs):
             r = run_named(g, alg, collect=False, **overrides)
             row[f"{prefix}_s"] = round(r.seconds, 4)
@@ -134,7 +141,10 @@ def _sweep(runs, paper: dict[str, tuple], cells, names, scale) -> list[dict]:
             for k, v in cells(i, r, paper[name][i]).items():
                 row[f"{prefix}_{k}"] = v
             counts.add(r.n_cliques)
+            cliques = run_named(g, alg, **overrides).cliques
+            digests.add(hashlib.sha1(repr(cliques).encode()).hexdigest())
         assert len(counts) == 1, f"{name}: clique counts disagree: {counts}"
+        assert len(digests) == 1, f"{name}: clique sets disagree"
         row["cliques"] = counts.pop()
         rows.append(row)
     return rows

@@ -7,7 +7,7 @@ validated against ``brute_force_mce`` (subset enumeration) on tiny graphs
 it; ``verify_cliques`` checks a clique list against it.
 
 ``greedy_truss_order`` is the sequential min-support edge peel, the oracle
-for the truss number tau that ``repro.core.ordering.truss_order`` must
+for the truss number tau that ``repro.core.ordering.truss_peel`` must
 report.
 
 ``er_edges`` (Erdős–Rényi) and ``caveman_edges`` (ring of cliques) are the
@@ -21,7 +21,6 @@ from itertools import combinations
 import numpy as np
 
 from repro.core.localgraph import LocalGraph
-from repro.core.ordering import TrussResult
 from repro.graphs.generators import _canon
 
 
@@ -88,12 +87,13 @@ def verify_cliques(g: LocalGraph, cliques: list[tuple[int, ...]]) -> None:
     assert not extra, f"extra cliques, e.g. {sorted(next(iter(extra)))}"
 
 
-def greedy_truss_order(g: LocalGraph) -> TrussResult:
-    """Greedy min-support edge peel, O(m * delta + m log m): the support
-    counts and the per-edge common-neighbour scans are O(m * delta), the
-    initial sort O(m log m), and the bucket queue adds O(1) amortised per
-    pop and per support decrement (each of the at most 2 * #triangles stale
-    entries is skipped once).
+def greedy_truss_order(g: LocalGraph) -> tuple[list[tuple[int, int]], int]:
+    """The edge order, as (u, v) pairs, and tau of the greedy min-support
+    edge peel, O(m * delta + m log m): the support counts and the per-edge
+    common-neighbour scans are O(m * delta), the initial sort O(m log m),
+    and the bucket queue adds O(1) amortised per pop and per support
+    decrement (each of the at most 2 * #triangles stale entries is skipped
+    once).
 
     ``support(e)`` = number of common neighbors of e's endpoints in the graph
     induced by the not-yet-peeled edges. Each step removes an edge of least
@@ -153,7 +153,7 @@ def greedy_truss_order(g: LocalGraph) -> TrussResult:
                     cur = sf
         au.discard(v)
         av.discard(u)
-    return TrussResult(order=[divmod(e, span) for e in order_codes], tau=tau)
+    return [divmod(e, span) for e in order_codes], tau
 
 
 def er_edges(n: int, m: int, seed: int = 0) -> np.ndarray:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.localgraph import LocalGraph
-from repro.core.ordering import TrussResult, degeneracy_order, edge_order_rank, truss_order
+from repro.core.ordering import degeneracy_order, edge_order_rank, truss_peel
 from repro.graphs.datasets import DATASET_NAMES, load_local
 from repro.graphs.generators import ba_edges, to_local
 from tests.oracles import er_edges, greedy_truss_order
@@ -52,20 +52,25 @@ def test_degeneracy_later_neighbor_bound(seed):
 
 
 # -- truss ---------------------------------------------------------------
+def truss_pairs(g):
+    """The truss peel's edge order as (u, v) pairs, and tau."""
+    pos, tau = truss_peel(g)
+    return g.edges_at(pos), tau
+
+
 def test_truss_of_complete_graph():
-    r = truss_order(complete(6))
-    assert r.tau == 4  # every edge of K6 has 4 common neighbors
+    assert truss_peel(complete(6))[1] == 4  # every edge of K6 has 4 common neighbors
 
 
 def test_truss_of_triangle_free_graph():
-    assert truss_order(path(10)).tau == 0
+    assert truss_peel(path(10))[1] == 0
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_tau_strictly_below_delta_on_real_shapes(seed):
     """The paper's tau < delta (for graphs with at least one edge)."""
     g = to_local(ba_edges(100, 4, seed), 100)
-    assert truss_order(g).tau < degeneracy_order(g).delta
+    assert truss_peel(g)[1] < degeneracy_order(g).delta
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -74,15 +79,15 @@ def test_truss_branch_size_bound(seed):
     common neighbors w with both connecting edges ranked after e is <= tau.
     This is the bound on every root edge branch's candidate graph."""
     g = to_local(er_edges(50, 300, seed), 50)
-    r = truss_order(g)
-    rank = {e: i for i, e in enumerate(r.order)}
+    order, tau = truss_pairs(g)
+    rank = {e: i for i, e in enumerate(order)}
     for (u, v), rk in rank.items():
         c = sum(
             1
             for w in g.adj[u] & g.adj[v]
             if rank[(u, w) if u < w else (w, u)] > rk and rank[(v, w) if v < w else (w, v)] > rk
         )
-        assert c <= r.tau
+        assert c <= tau
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -90,12 +95,12 @@ def test_truss_greedy_min_support_invariant(seed):
     """Replaying the order must show each peeled edge had the (bucket-)
     minimum support among remaining edges at its turn."""
     g = to_local(er_edges(30, 140, seed), 30)
-    r = greedy_truss_order(g)
+    order, _ = greedy_truss_order(g)
     adj = {v: set(ns) for v, ns in g.adj.items()}
     remaining_sup = {}
     for u, v in g.edges_at(slice(None)):
         remaining_sup[(u, v)] = len(adj[u] & adj[v])
-    for e in r.order:
+    for e in order:
         u, v = e
         cur_min = min(remaining_sup.values())
         assert remaining_sup[e] == cur_min
@@ -138,14 +143,14 @@ def test_truss_levels_bound_support_and_tau_matches_greedy(make):
     is at most the largest minimum live support seen up to that step, and
     that level ends at tau: the greedy peel's tau."""
     g = make()
-    r = truss_order(g)
-    steps = replay_levels(g, r.order)
+    order, tau = truss_pairs(g)
+    steps = replay_levels(g, order)
     assert all(s <= level for s, level in steps)
-    assert r.tau == max((level for _, level in steps), default=0)
-    assert r.tau == greedy_truss_order(g).tau
+    assert tau == max((level for _, level in steps), default=0)
+    assert tau == greedy_truss_order(g)[1]
 
 
-#: (SHA-1 of ``repr(truss_order(g).order)``, tau) for each surrogate at both
+#: (SHA-1 of ``repr(g.edges_at(truss_peel(g)[0]))``, tau) for each surrogate at both
 #: scales and for the unreduced ``tail_graph()``, recorded by running the
 #: commit that made the peel round-synchronous. That commit changed every
 #: order (tau stayed the same everywhere); the order is the input of every
@@ -193,8 +198,8 @@ def test_truss_order_pinned():
     assert {name for name, _ in graphs} == {*DATASET_NAMES, "tail"}
     measured = {}
     for key, g in graphs.items():
-        r = truss_order(g)
-        measured[key] = (hashlib.sha1(repr(r.order).encode()).hexdigest(), r.tau)
+        order, tau = truss_pairs(g)
+        measured[key] = (hashlib.sha1(repr(order).encode()).hexdigest(), tau)
     assert measured == PINNED_TRUSS
 
 # -- alternative edge orders --------------------------------------------
@@ -221,7 +226,7 @@ def test_orders_are_deterministic():
         [(v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(edges)], range(60)
     )
     assert h.adj == g.adj
-    assert truss_order(g).order == truss_order(g).order == truss_order(h).order
+    assert truss_pairs(g)[0] == truss_pairs(g)[0] == truss_pairs(h)[0]
     assert degeneracy_order(g).order == degeneracy_order(g).order == degeneracy_order(h).order
 
 
@@ -235,7 +240,7 @@ def test_orders_are_deterministic():
     ],
 )
 def test_truss_order_degenerate_inputs(g, order, tau):
-    assert truss_order(g) == TrussResult(order=order, tau=tau)
+    assert truss_pairs(g) == (order, tau)
 
 
 def test_truss_order_huge_ids():
@@ -246,7 +251,7 @@ def test_truss_order_huge_ids():
     shifted = LocalGraph.from_edges(
         [(u + off, v + off) for u, v in g.edges_at(slice(None))], vertices=g.ids + off
     )
-    r, rs = truss_order(g), truss_order(shifted)
-    assert rs.tau == r.tau
-    assert rs.order == [(u + off, v + off) for u, v in r.order]
-    assert all(type(x) is int for e in rs.order for x in e)
+    (order, tau), (order_s, tau_s) = truss_pairs(g), truss_pairs(shifted)
+    assert tau_s == tau
+    assert order_s == [(u + off, v + off) for u, v in order]
+    assert all(type(x) is int for e in order_s for x in e)

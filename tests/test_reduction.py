@@ -140,15 +140,16 @@ def test_gr_cliques_are_the_cliques_through_removed_vertices(make):
 
 @pytest.mark.parametrize("make", GR_GRAPHS)
 def test_gr_core_blocked_sets(make):
-    """Each removed w blocks every nonempty clique in N(w) ∩ core: the
-    singletons, and the pair itself when it is an edge."""
+    """Each removed w blocks every nonempty clique in N(w) ∩ core. The
+    search on the core never emits a singleton (every core vertex has three
+    core neighbours), so GR keeps only the pairs: N(w) ∩ core itself when it
+    is an edge."""
     g = make()
     red = reduce_graph(g)
     core = set(red.reduced.adj)
     want = set()
     for w in set(g.adj) - core:
         nc = g.adj[w] & core
-        want.update(frozenset((a,)) for a in nc)
         if len(nc) == 2:
             a, b = nc
             if b in g.adj[a]:
