@@ -138,6 +138,7 @@ def render() -> str:
 
     # ---------------- Table IV ----------------
     if t4:
+        rising = where(t4, lambda r: r["d1_calls"] <= r["d2_calls"] <= r["d3_calls"])
         rows = []
         for r in t4:
             rows.append(
@@ -157,7 +158,7 @@ def render() -> str:
             + f"\n\n**Shape.** In the paper d=1 is fastest on 16/16 datasets. Here d=1"
             f" has the least time on **{tally(t4, d1_time(t4))}** datasets and the fewest"
             f" calls on **{tally(t4, d1_calls(t4))}**. #calls rise with d (d=1 ≤ d=2 ≤"
-            f" d=3) on {tally(t4, where(t4, lambda r: r['d1_calls'] <= r['d2_calls'] <= r['d3_calls']))}.\n"
+            f" d=3) on {tally(t4, rising)}.\n"
         )
 
     # ---------------- Table V ----------------
@@ -257,21 +258,19 @@ def tau_below(t1) -> list[str]:
     return where(t1, lambda r: r["tau"] < r["delta"])
 
 
-#: Table II's baselines whose #calls count branch nodes as HBBMC++'s do.
-#: BK_Rcd loops over min-degree removals *inside* one recursive call, so
-#: RRcd's counter undercounts its branch nodes by construction.
-PIVOT_BASELINES = ("rref", "rdegen", "rfac")
-BASELINES = (*PIVOT_BASELINES, "rrcd")
+def best_baseline(r, key: str):
+    """The least ``key`` (``"calls"`` or ``"s"``) of a Table II row's baselines."""
+    return min(r[f"{a}_{key}"] for a in ("rref", "rdegen", "rrcd", "rfac"))
 
 
 def fewest_calls(t2) -> list[str]:
-    """Table II: HBBMC++ makes no more calls than any pivot baseline."""
-    return where(t2, lambda r: r["hbbmcpp_calls"] <= min(r[f"{a}_calls"] for a in PIVOT_BASELINES))
+    """Table II: HBBMC++ makes no more calls than any baseline."""
+    return where(t2, lambda r: r["hbbmcpp_calls"] <= best_baseline(r, "calls"))
 
 
 def fastest(t2) -> list[str]:
     """Table II: HBBMC++ is faster than every baseline."""
-    return where(t2, lambda r: r["hbbmcpp_s"] < min(r[f"{a}_s"] for a in BASELINES))
+    return where(t2, lambda r: r["hbbmcpp_s"] < best_baseline(r, "s"))
 
 
 def d1_time(t4) -> list[str]:
@@ -306,24 +305,18 @@ def vbbmc_faster(t6) -> list[str]:
 def t2_narrative(t2) -> str:
     import statistics
 
-    def best(r, key, algs):
-        return min(r[f"{a}_{key}"] for a in algs)
-
-    cr = {r["dataset"]: best(r, "calls", PIVOT_BASELINES) / max(1, r["hbbmcpp_calls"]) for r in t2}
+    cr = {r["dataset"]: best_baseline(r, "calls") / max(1, r["hbbmcpp_calls"]) for r in t2}
     top = max(cr, key=cr.get)
-    tr = [best(r, "s", BASELINES) / r["hbbmcpp_s"] for r in t2]
+    tr = [best_baseline(r, "s") / r["hbbmcpp_s"] for r in t2]
     vs_rdegen = where(t2, lambda r: r["hbbmcpp_s"] < r["rdegen_s"])
     return (
         "The paper's RRef column (BK_Ref + GR) is measured here as BK_Pivot + GR:"
         " Naudé's refined pivot is not reproduced (DESIGN.md §4).\n\n"
-        "**Shape.** In the paper HBBMC++ is fastest on 16/16 datasets (1.1–6×). Here,"
-        " against the baselines whose #calls count branch nodes as HBBMC++'s do"
-        " (BK_Pivot + GR, RDegen, RFac), HBBMC++ makes the fewest calls on"
-        f" **{tally(t2, fewest_calls(t2))}** datasets; best-baseline calls / HBBMC++"
-        f" calls: median **{statistics.median(cr.values()):.2f}×**, max"
-        f" **{cr[top]:.2f}×** ({top}). (RRcd's counter is left out of this comparison:"
-        " BK_Rcd loops over min-degree removals *inside* one recursive call, so its"
-        " #calls undercounts branch nodes by design.) In wall time HBBMC++ is faster"
+        "**Shape.** In the paper HBBMC++ is fastest on 16/16 datasets (1.1–6×). Here"
+        f" HBBMC++ makes the fewest calls on **{tally(t2, fewest_calls(t2))}** datasets;"
+        " fewest-baseline calls / HBBMC++ calls: median"
+        f" **{statistics.median(cr.values()):.2f}×**, max **{cr[top]:.2f}×** ({top})."
+        " In wall time HBBMC++ is faster"
         f" than every baseline on **{tally(t2, fastest(t2))}** and faster than RDegen"
         f" on **{tally(t2, vs_rdegen)}**; fastest-baseline / HBBMC++ time: median"
         f" {statistics.median(tr):.2f}×, range {min(tr):.2f}–{max(tr):.2f}×.\n"
@@ -429,7 +422,7 @@ def footer(t1, t2, t3, t4, t5, t6) -> str:
 |---|---|
 | Maximal clique sets identical across all {configs} algorithm configurations | ✅ every table run checks that its configurations give one clique count and one clique set (SHA-1 of the sorted cliques of an untimed run that builds them); the tier-1 tests (`tests/`, test scale) check clique sets against the reference BK |
 | τ < δ on all graphs; condition δ≥max(3,τ+3lnρ/ln3) holds for most | {mark(on_all(t1, tau_below))} τ < δ on {n_of(t1, tau_below)}; the condition holds on {cond} surrogates (paper: {paper_cond} of these graphs) |
-| HBBMC++ beats VBBMC baselines | {beats} fewest calls among the pivot baselines on {n_of(t2, fewest_calls)} (Table II) and fewer calls than VBBMC-dgn on {n_of(t6, vs_vbbmc_calls)} (Table VI); faster than every Table II baseline on {n_of(t2, fastest)}, and VBBMC-dgn is faster than HBBMC++ on {n_of(t6, vbbmc_faster)} |
+| HBBMC++ beats VBBMC baselines | {beats} fewest calls among the Table II algorithms on {n_of(t2, fewest_calls)} (Table II) and fewer calls than VBBMC-dgn on {n_of(t6, vs_vbbmc_calls)} (Table VI); faster than every Table II baseline on {n_of(t2, fastest)}, and VBBMC-dgn is faster than HBBMC++ on {n_of(t6, vbbmc_faster)} |
 | ET (t=3) reduces branches and time; larger t better | {mark(on_all(t5, calls_monotone), on_all(t5, et_faster))} #calls do not rise with t on {n_of(t5, calls_monotone)}; t=3 beats t=0 on wall time on {n_of(t5, et_faster)} (Table V note) |
 | d=1 (edge-oriented only at the root) is optimal | {mark(on_all(t4, d1_time), on_all(t4, d1_calls))} d=1 has the least time on {n_of(t4, d1_time)} and the fewest calls on {n_of(t4, d1_calls)} (Table IV note) |
 | Truss ordering beats dgn/mdg edge orderings | {mark(on_all(t6, truss_calls), on_all(t6, truss_time))} the τ branch-width guarantee is verified; among the hybrid orderings HBBMC++ makes the fewest calls on {n_of(t6, truss_calls)} and has the least time on {n_of(t6, truss_time)} (Table VI note) |

@@ -1,5 +1,6 @@
 """Smoke-run the table harnesses at test scale (benchmarks/bench_tables.py
-runs them at bench scale), and check EXPERIMENTS.md against results/."""
+runs them at bench scale), check the committed results/ rows against one
+bench-scale dataset, and check EXPERIMENTS.md against results/."""
 import importlib.util
 import json
 from pathlib import Path
