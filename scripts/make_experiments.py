@@ -220,6 +220,14 @@ def render() -> str:
         spark_s = dist["spark_s"]  # task count (a string key) -> seconds
         local_s = dist["in_process_s"]
         most = max(spark_s, key=int)
+        spark_most = spark_s[most]
+        if spark_most < local_s:
+            vs_local = f"{local_s / spark_most:.2f}× faster than the in-process run on one core"
+        else:
+            vs_local = (
+                f"{spark_most / local_s:.2f}× slower than the in-process run: Spark's"
+                f" fixed costs outweigh what {most} tasks save"
+            )
         times = ", ".join(
             f"**{t} s in {n} task{'' if n == '1' else 's'}**" for n, t in spark_s.items()
         )
@@ -234,14 +242,13 @@ def render() -> str:
             " (`run_named`, cliques built). Each time is the minimum of"
             f" {dist['rounds']} rounds after one untimed warm-up call"
             f" (`benchmarks/bench_dist.py`). {most} tasks are"
-            f" {spark_s['1'] / spark_s[most]:.1f}× faster than 1 and take"
-            f" {spark_s[most] / local_s:.2f}× the in-process time. The part that"
+            f" {spark_s['1'] / spark_most:.1f}× faster than 1 and {vs_local}. The part that"
             " does not scale out runs on the driver: the edge collect (`to_local`),"
             " GR and the truss-ordering peel, plus Spark's fixed cost per job and per"
             " task. The result is the checkpointed clique DataFrame, which the"
-            " driver does not collect. At surrogate scale Spark task overhead"
-            " dominates the kernels, so EXPERIMENTS tables are timed with the"
-            " in-process runners (DESIGN.md §5)."
+            " driver does not collect. The tables are timed in process,"
+            " one core per run, as the paper times its tables on one machine"
+            " (DESIGN.md §5)."
         )
 
     parts.append(footer(t1, t2, t3, t4, t5, t6))
@@ -389,10 +396,11 @@ multi-GB graphs vs Python on MB-scale surrogates); the reproduction targets
 are the *shapes*: which configuration wins, monotonicity in the sweep
 parameters, the ET ratio behaviour, and the δ/τ/ρ condition. Each note
 counts, from the rows, on which datasets a shape holds and names the ones
-where it does not. Every run in every table is checked to report the same
-number and the same set of maximal cliques, and the clique *sets* of all
-algorithms are checked against a reference Bron–Kerbosch at test scale in
-`tests/`."""
+where it does not. Every timed run builds every clique it finds, and every
+run in every table is checked to report the same number and the same set of
+maximal cliques, so each time is that of a run whose clique set was checked.
+The clique *sets* of all algorithms are also checked against a reference
+Bron–Kerbosch at test scale in `tests/`."""
 
 def footer(t1, t2, t3, t4, t5, t6) -> str:
     """The summary checklist; its counts come from the table rows."""
@@ -420,7 +428,7 @@ def footer(t1, t2, t3, t4, t5, t6) -> str:
 
 | Paper claim | Status here |
 |---|---|
-| Maximal clique sets identical across all {configs} algorithm configurations | ✅ every table run checks that its configurations give one clique count and one clique set (SHA-1 of the sorted cliques of an untimed run that builds them); the tier-1 tests (`tests/`, test scale) check clique sets against the reference BK |
+| Maximal clique sets identical across all {configs} algorithm configurations | ✅ every table run checks that its configurations give one clique count and one clique set (SHA-1 of the sorted cliques of the timed run, which builds them); the tier-1 tests (`tests/`, test scale) check clique sets against the reference BK |
 | τ < δ on all graphs; condition δ≥max(3,τ+3lnρ/ln3) holds for most | {mark(on_all(t1, tau_below))} τ < δ on {n_of(t1, tau_below)}; the condition holds on {cond} surrogates (paper: {paper_cond} of these graphs) |
 | HBBMC++ beats VBBMC baselines | {beats} fewest calls among the Table II algorithms on {n_of(t2, fewest_calls)} (Table II) and fewer calls than VBBMC-dgn on {n_of(t6, vs_vbbmc_calls)} (Table VI); faster than every Table II baseline on {n_of(t2, fastest)}, and VBBMC-dgn is faster than HBBMC++ on {n_of(t6, vbbmc_faster)} |
 | ET (t=3) reduces branches and time; larger t better | {mark(on_all(t5, calls_monotone), on_all(t5, et_faster))} #calls do not rise with t on {n_of(t5, calls_monotone)}; t=3 beats t=0 on wall time on {n_of(t5, et_faster)} (Table V note) |

@@ -11,15 +11,14 @@ cycles. Maximal cliques of g_C are exactly:
 
 where F is the set of inverse-isolated (universal) vertices — combined by
 cross product (lines 5-8 of Algorithm 8). The branch therefore has exactly
-prod(len(table) for each component) maximal cliques, which is what the
-kernels count when they do not collect cliques.
+prod(len(table) for each component) maximal cliques.
 
 Cost follows output: ``inverse_components`` reads the inverse graph off the
 ``C ∩ N(v)`` sets the kernel already has, the MIS index tables of a path or
 cycle are built once per length (``path_mis``/``cycle_mis`` are cached), and
 ``enumerate_tplex`` builds each clique tuple once, with S merged in, and
 sorts it once. The kernels (``repro.core.kernels``) detect the t-plex
-condition and decide whether cliques are built, counted or filtered.
+condition and decide whether the cliques need GR's blocked-pair filter.
 """
 from __future__ import annotations
 

@@ -59,11 +59,11 @@ from .stats import BranchStats
 
 @dataclass
 class MceRun:
-    """Result of one MCE run: the cliques (sorted tuples, or None when not
-    collected), counters, and wall time in seconds (includes GR + ordering,
-    as the paper's reported times do)."""
+    """Result of one MCE run: the cliques (sorted tuples, in sorted order),
+    counters, and wall time in seconds (includes GR + ordering and building
+    every clique, as the paper's reported times do)."""
 
-    cliques: list[tuple[int, ...]] | None
+    cliques: list[tuple[int, ...]]
     stats: BranchStats
     seconds: float
 
@@ -148,9 +148,9 @@ class RootPlan:
     cliques: list[tuple[int, ...]]  # GR's, found while planning
     stats: BranchStats  # counters of the planning itself
 
-    def enumerator(self, *, collect: bool = True) -> Enumerator:
+    def enumerator(self) -> Enumerator:
         """A fresh enumerator to run root branches of this plan on."""
-        return Enumerator(self.adj, et_t=self.config.et_t, blocked=self.blocked, collect=collect)
+        return Enumerator(self.adj, et_t=self.config.et_t, blocked=self.blocked)
 
 
 def plan_roots(g: LocalGraph, cfg: MceConfig) -> RootPlan:
@@ -324,17 +324,16 @@ ALGORITHMS: dict[str, dict] = {
 }
 
 
-def run_named(g: LocalGraph, name: str, *, collect: bool = True, **overrides) -> MceRun:
+def run_named(g: LocalGraph, name: str, **overrides) -> MceRun:
     """Run a named algorithm (Tables II–VI row/column labels) end to end on
     ``g``, with optional ``MceConfig`` overrides (e.g. ``d=2`` for Table IV,
     ``et_t=1`` for Table V): plan the root branches, then run every one in
-    process. ``collect=False`` keeps only the counters."""
+    process, building every clique."""
     cfg = resolve_config(name, overrides)
     t0 = time.perf_counter()
     plan = plan_roots(g, cfg)
-    enum = plan.enumerator(collect=collect)
+    enum = plan.enumerator()
     run_roots(enum, plan, range(len(plan.costs)))
     enum.stats.merge(plan.stats)
     seconds = time.perf_counter() - t0
-    cliques = sorted(enum.out + plan.cliques) if collect else None
-    return MceRun(cliques=cliques, stats=enum.stats, seconds=seconds)
+    return MceRun(cliques=sorted(enum.out + plan.cliques), stats=enum.stats, seconds=seconds)

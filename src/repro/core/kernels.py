@@ -44,18 +44,15 @@ restricted to C (necessary, cheap, uses the degree scan the pivot needs
 anyway) plus ghost-freedom of C (verified by a subset test per candidate
 only in the rare branches that pass the degree test).
 
-ET emission costs what it outputs (``repro.core.early_term``). Collecting,
-the branch's cliques come from ``enumerate_tplex`` as sorted tuples, S
-included, and are appended to ``out`` in one batch; counting
-(``collect=False``), the branch adds the product of its components' MIS
-counts and builds no clique. Either way ``stats.cliques`` grows by the
-batch size. The one exception: when |S| + |F| + #components <= 2 a clique
-can have two vertices and so be a GR-blocked pair, and those branches go
-through ``emit`` one clique at a time in both modes.
+ET emission costs what it outputs (``repro.core.early_term``): the
+branch's cliques come from ``enumerate_tplex`` as sorted tuples, S
+included, and are appended to ``out`` in one batch, and ``stats.cliques``
+grows by the batch size. The one exception: when |S| + |F| + #components
+<= 2 a clique can have two vertices and so be a GR-blocked pair, and those
+branches go through ``emit`` one clique at a time.
 """
 from __future__ import annotations
 
-from math import prod
 from typing import Callable, Iterable
 
 from .early_term import enumerate_tplex, inverse_components
@@ -75,13 +72,12 @@ class Enumerator:
         *,
         et_t: int = 0,
         blocked: set[frozenset[int]] | None = None,
-        collect: bool = True,
     ):
         self.adj = adj
         self.et_t = et_t
         self.blocked = blocked or set()
         self.stats = BranchStats()
-        self.out: list[tuple[int, ...]] | None = [] if collect else None
+        self.out: list[tuple[int, ...]] = []
         # Compat adjacency of the enclosing edge-oriented branch (None outside
         # one); set/restored by repro.core.hbbmc._ebb around kernel calls.
         self.cadj: dict[int, set[int]] | None = None
@@ -96,8 +92,7 @@ class Enumerator:
             # (DESIGN.md §3, "GR blocked sets").
             return
         self.stats.cliques += 1
-        if self.out is not None:
-            self.out.append(c)
+        self.out.append(c)
 
     # -- helpers -----------------------------------------------------------
     def _enter(self, S: list[int], C: set[int], X: set[int]) -> bool:
@@ -164,14 +159,12 @@ class Enumerator:
             return False
         st.et_applied += 1
         F, comps = inverse_components(C, nbr_in_c)
-        out = self.out
         if len(S) + len(F) + len(comps) <= 2:
             # A clique of size <= 2 may be a GR-blocked pair: emit filters it.
             for clique in enumerate_tplex(S, F, comps):
                 self.emit(clique)
-        elif out is None:
-            st.cliques += prod(len(table) for _, table in comps)
         else:
+            out = self.out
             n = len(out)
             out.extend(enumerate_tplex(S, F, comps))
             st.cliques += len(out) - n

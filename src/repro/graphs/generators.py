@@ -94,7 +94,6 @@ def social_edges(
     caves: tuple[int, int, int] | None = None,
     core: tuple[int, float] | None = None,
     bicore: tuple[int, int, float] | None = None,
-    chords: int = 0,
 ) -> np.ndarray:
     """Composite model used for the Table I surrogates (DESIGN.md §4).
 
@@ -112,8 +111,7 @@ def social_edges(
     - ``bicore = (A, B, p)``: one dense random *bipartite* community over
       existing vertices — degeneracy without triangles, the strongest form
       of the δ ≫ τ regime (real web/social graphs owe much of their high
-      degeneracy to such triangle-poor hub structures);
-    - ``chords``: extra uniform random edges.
+      degeneracy to such triangle-poor hub structures).
     """
     rng = np.random.default_rng(seed + 1_000_003)
     if p_triad > 0:
@@ -152,8 +150,6 @@ def social_edges(
             for b in right:
                 if rng.random() < p:
                     pairs.append((int(a), int(b)))
-    for _ in range(chords):
-        pairs.append((int(rng.integers(0, nxt)), int(rng.integers(0, nxt))))
     return _canon(pairs)
 
 

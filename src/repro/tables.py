@@ -7,10 +7,9 @@ number (seconds, from the tables in Section V) next to the measured one.
 ``scripts/make_experiments.py`` renders those files into EXPERIMENTS.md.
 
 Every run is in process, on one core, as the paper times its tables on one
-machine, and counts cliques without building them (the rows read only the
-count, the counters and the time). All runs in a table assert they produce
-the same number of maximal cliques and, from one more untimed run of each
-that builds them, the same clique set.
+machine, and builds every clique it finds. All runs in a table assert they
+produce the same number of maximal cliques and the same clique set; the
+time a row reports is that of the run whose clique set was checked.
 """
 from __future__ import annotations
 
@@ -124,10 +123,9 @@ def table1(names=None, scale: str = "bench") -> list[dict]:
 
 def _sweep(runs, paper: dict[str, tuple], cells, names, scale) -> list[dict]:
     """Shared driver for Tables II–VI: load each dataset once, run every
-    ``(prefix, algorithm, overrides)`` of ``runs`` on it in count mode, and
-    check the clique counts agree, and the clique sets of one untimed
-    collect-mode run of each. A row holds ``{prefix}_s`` and
-    ``{prefix}_calls`` per run, then the columns ``cells(i, run, paper
+    ``(prefix, algorithm, overrides)`` of ``runs`` on it once, and check the
+    runs' clique counts and clique sets agree. A row holds ``{prefix}_s``
+    and ``{prefix}_calls`` per run, then the columns ``cells(i, run, paper
     entry of run i)`` adds under the same prefix, then ``cliques``."""
     rows = []
     for name in names or DATASET_NAMES:
@@ -135,14 +133,13 @@ def _sweep(runs, paper: dict[str, tuple], cells, names, scale) -> list[dict]:
         row: dict = {"dataset": name}
         counts, digests = set(), set()
         for i, (prefix, alg, overrides) in enumerate(runs):
-            r = run_named(g, alg, collect=False, **overrides)
+            r = run_named(g, alg, **overrides)
             row[f"{prefix}_s"] = round(r.seconds, 4)
             row[f"{prefix}_calls"] = r.stats.calls
             for k, v in cells(i, r, paper[name][i]).items():
                 row[f"{prefix}_{k}"] = v
             counts.add(r.n_cliques)
-            cliques = run_named(g, alg, **overrides).cliques
-            digests.add(hashlib.sha1(repr(cliques).encode()).hexdigest())
+            digests.add(hashlib.sha1(repr(r.cliques).encode()).hexdigest())
         assert len(counts) == 1, f"{name}: clique counts disagree: {counts}"
         assert len(digests) == 1, f"{name}: clique sets disagree"
         row["cliques"] = counts.pop()

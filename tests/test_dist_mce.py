@@ -96,6 +96,7 @@ BAD_CONFIGS = [
     ("hybrid-root", "HBBMC++", dict(root="global"), "d is not read under the vertex root 'global'"),
     ("edge-d-kernel", "HBBMC++", dict(framework="edge", kernel="rcd", d=4), r"unknown config keys \['framework'\]"),
     ("edge-root", "RDegen", dict(framework="edge"), r"unknown config keys \['framework'\]"),
+    ("collect", "HBBMC++", dict(collect=False), r"unknown config keys \['collect'\]"),
 ]
 
 

@@ -165,58 +165,47 @@ def test_hybrid_rejects_bad_depth():
         run_named(LocalGraph.from_edges([(0, 1)]), "HBBMC++", d=0)
 
 
-def test_collect_false_counts_only():
-    g = to_local(er_edges(30, 100, 0), 30)
-    r = run_named(g, "HBBMC++", collect=False)
-    assert r.cliques is None
-    assert r.n_cliques == len(reference_mce(g))
-
-
-#: Every name with each ET threshold, for the count-mode parity checks.
+#: Every name with each ET threshold, for the clique-counter checks.
 ET_CONFIGS = [(name, t) for name in sorted(ALGORITHMS) for t in (1, 2, 3)]
 
 
-def _assert_count_mode_matches(g):
-    for name, t in ET_CONFIGS:
-        full = run_named(g, name, et_t=t)
-        count = run_named(g, name, collect=False, et_t=t)
-        assert count.n_cliques == full.n_cliques == len(full.cliques), (name, t)
-        assert count.stats.as_dict() == full.stats.as_dict(), (name, t)
-
-
 @pytest.mark.parametrize("dataset", DATASET_NAMES + ["tail"])
-def test_count_mode_matches_collect_mode(dataset):
-    """ET counts its cliques as a product of per-component MIS counts when
-    they are not collected; the count and every counter must equal the
-    collecting run's."""
+def test_clique_counter_matches_cliques(dataset):
+    """ET adds its batch size to ``stats.cliques``, emit one per clique and
+    GR its own count: together they must count exactly the cliques a run
+    builds."""
     g = tail_graph() if dataset == "tail" else load_local(dataset, "test")
-    _assert_count_mode_matches(g)
+    for name, t in ET_CONFIGS:
+        r = run_named(g, name, et_t=t)
+        assert r.n_cliques == len(r.cliques), (name, t)
 
 
-def test_count_mode_filters_gr_blocked_et_cliques():
+def test_filters_gr_blocked_et_cliques():
     """K6 minus the 6-cycle 0-1-2-3-4-5, plus one degree-2 vertex on each
     of its 2-cliques {0,3}, {1,4}, {2,5}. GR emits the three triangles and
     blocks those pairs. In the core, each vertex branch S = [v] with empty
     X is a 3-plex whose ET output includes {v, v+3}, and every run that
-    reaches ET must drop that blocked pair in both modes."""
+    reaches ET must drop that blocked pair."""
     hexagon = [(i, j) for i in range(6) for j in range(i + 1, 6) if (j - i) % 6 not in (1, 5)]
     ears = [(u, a) for u, pair in zip((6, 7, 8), ((0, 3), (1, 4), (2, 5))) for a in pair]
     g = LocalGraph.from_edges(hexagon + ears)
-    assert run_named(g, "VBBMC-dgn").cliques == reference_mce(g)
-    assert reference_mce(g) == [(0, 2, 4), (0, 3, 6), (1, 3, 5), (1, 4, 7), (2, 5, 8)]
-    _assert_count_mode_matches(g)
+    expected = reference_mce(g)
+    assert expected == [(0, 2, 4), (0, 3, 6), (1, 3, 5), (1, 4, 7), (2, 5, 8)]
+    for name, t in ET_CONFIGS:
+        r = run_named(g, name, et_t=t)
+        assert r.cliques == expected, (name, t)
+        assert r.n_cliques == len(expected), (name, t)
 
 
-def test_count_mode_filters_blocked_pair_of_vertex_root():
+def test_filters_blocked_pair_of_vertex_root():
     """Vertex root S = [v] with C two non-adjacent vertices: ET emits two
-    2-cliques, one of them GR-blocked, so each mode counts one clique."""
+    2-cliques, one of them GR-blocked, so one clique is built and counted."""
     adj = {0: {1, 2}, 1: {0}, 2: {0}}
-    for collect in (True, False):
-        enum = Enumerator(adj, et_t=3, blocked={frozenset((0, 1))}, collect=collect)
-        enum.vbb_tomita([0], {1, 2}, set())
-        assert enum.stats.et_applied == 1
-        assert enum.stats.cliques == 1
-        assert enum.out == ([(0, 2)] if collect else None)
+    enum = Enumerator(adj, et_t=3, blocked={frozenset((0, 1))})
+    enum.vbb_tomita([0], {1, 2}, set())
+    assert enum.stats.et_applied == 1
+    assert enum.stats.cliques == 1
+    assert enum.out == [(0, 2)]
 
 
 def test_branch_bound_tau_respected():
@@ -273,7 +262,7 @@ def test_counters_pinned():
     g = load_local("OR", "test")
     measured = {}
     for name, d in PINNED_COUNTERS:
-        r = run_named(g, name, collect=False, **({} if d is None else {"d": d}))
+        r = run_named(g, name, **({} if d is None else {"d": d}))
         measured[(name, d)] = (*r.stats.as_dict().values(), r.n_cliques)
     assert measured == PINNED_COUNTERS
 
@@ -304,7 +293,7 @@ def test_counters_pinned_gr_heavy():
     g = tail_graph()
     measured = {}
     for name in PINNED_COUNTERS_GR_HEAVY:
-        r = run_named(g, name, collect=False)
+        r = run_named(g, name)
         measured[name] = (*r.stats.as_dict().values(), r.n_cliques)
     assert measured == PINNED_COUNTERS_GR_HEAVY
 
