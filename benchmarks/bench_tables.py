@@ -1,17 +1,12 @@
-"""Benchmarks reproducing evaluation Tables I–VI (bench-scale surrogates).
-
-Each bench runs one full table harness exactly once (pedantic, 1 round — the
-harness itself is a multi-minute sweep, statistical rounds are pointless) and
-persists the paper-vs-measured rows to results/tableN.json.
-"""
-import pytest
-
+"""Benchmark reproducing evaluation Tables I–VI (bench-scale surrogates): Table
+I's statistics and the one sweep behind Tables II–VI, run once (a multi-minute
+sweep: statistical rounds are pointless), persisted to results/tableN.json."""
 from benchmarks._common import save
-from repro.tables import TABLES
+from repro.tables import sweep, table1
 
 
-@pytest.mark.parametrize("n", sorted(TABLES))
-def test_table(benchmark, n):
-    rows = benchmark.pedantic(lambda: TABLES[n](scale="bench"), rounds=1, iterations=1)
-    save(f"table{n}.json", rows)
-    assert len(rows) == 16
+def test_tables(benchmark):
+    tables = benchmark.pedantic(lambda: {1: table1(), **sweep()}, rounds=1, iterations=1)
+    for n, rows in tables.items():
+        save(f"table{n}.json", rows)
+        assert len(rows) == 16

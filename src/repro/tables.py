@@ -1,21 +1,24 @@
 """Harnesses reproducing the paper's evaluation tables (I–VI).
 
-Each ``tableN`` function runs the right algorithm set over the surrogate
-datasets and returns one dict per table row, with the paper's reported
-number (seconds, from the tables in Section V) next to the measured one.
-``benchmarks/bench_tables.py`` records them in ``results/tableN.json``, and
-``scripts/make_experiments.py`` renders those files into EXPERIMENTS.md.
+``table1`` gives Table I's statistics. ``TABLES`` declares each column of
+Tables II–VI once, and ``sweep`` runs each distinct configuration once per
+surrogate dataset and returns every table's rows, with the paper's number
+(seconds, Section V) next to the measured one. ``benchmarks/bench_tables.py``
+records them in ``results/tableN.json``, and ``scripts/make_experiments.py``
+renders those files into EXPERIMENTS.md.
 
 Every run is in process, on one core, as the paper times its tables on one
-machine, and builds every clique it finds. All runs in a table assert they
-produce the same number of maximal cliques and the same clique set; the
-time a row reports is that of the run whose clique set was checked.
+machine, and builds every clique it finds. All runs of a dataset, across the
+whole sweep, assert they produce the same number of maximal cliques and the
+same clique set; a row's time is that of the run whose clique set was checked.
 """
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
+from typing import Callable, NamedTuple
 
-from .core.hbbmc import run_named
+from .core.hbbmc import MceConfig, resolve_config, run_named
 from .core.reduction import reduce_graph
 from .graphs.datasets import (
     DATASET_NAMES,
@@ -121,92 +124,98 @@ def table1(names=None, scale: str = "bench") -> list[dict]:
     return rows
 
 
-def _sweep(runs, paper: dict[str, tuple], cells, names, scale) -> list[dict]:
-    """Shared driver for Tables II–VI: load each dataset once, run every
-    ``(prefix, algorithm, overrides)`` of ``runs`` on it once, and check the
-    runs' clique counts and clique sets agree. A row holds ``{prefix}_s``
-    and ``{prefix}_calls`` per run, then the columns ``cells(i, run, paper
-    entry of run i)`` adds under the same prefix, then ``cliques``."""
-    rows = []
-    for name in names or DATASET_NAMES:
-        g = load_local(name, scale)
-        row: dict = {"dataset": name}
-        counts, digests = set(), set()
-        for i, (prefix, alg, overrides) in enumerate(runs):
-            r = run_named(g, alg, **overrides)
-            row[f"{prefix}_s"] = round(r.seconds, 4)
-            row[f"{prefix}_calls"] = r.stats.calls
-            for k, v in cells(i, r, paper[name][i]).items():
-                row[f"{prefix}_{k}"] = v
-            counts.add(r.n_cliques)
-            digests.add(hashlib.sha1(repr(r.cliques).encode()).hexdigest())
-        assert len(counts) == 1, f"{name}: clique counts disagree: {counts}"
-        assert len(digests) == 1, f"{name}: clique sets disagree"
-        row["cliques"] = counts.pop()
-        rows.append(row)
-    return rows
+class Column(NamedTuple):
+    """A column of Tables II–VI: its row keys' ``prefix``, rendered ``label``,
+    and the run it shows (``algorithm`` ``None``: the paper's time only)."""
+
+    prefix: str
+    label: str
+    algorithm: str | None
+    overrides: dict = {}
+
+    def config(self) -> MceConfig:
+        return resolve_config(self.algorithm, self.overrides)
 
 
-def _algs(*algs: str) -> list[tuple[str, str, dict]]:
-    """One default-configured run per algorithm, prefixed by its name."""
-    return [(a.lower().replace("+", "p").replace("-", "_"), a, {}) for a in algs]
+class Table(NamedTuple):
+    """Paper numbers (one entry per column), columns, and the cells
+    ``cells(column, run, paper entry)`` adds after a run's time and calls."""
+
+    paper: dict[str, tuple]
+    columns: list[Column]
+    cells: Callable = lambda c, r, p: {"paper_s": p}
 
 
-def _paper_s(i, r, p) -> dict:
-    return {"paper_s": p}
-
-
-def table2(names=None, scale="bench") -> list[dict]:
-    """Table II: HBBMC++ vs the four VBBMC+GR baselines."""
-    return _sweep(
-        _algs("HBBMC++", "RRef", "RDegen", "RRcd", "RFac"), PAPER_T2, _paper_s, names, scale
-    )
-
-
-def table3(names=None, scale="bench") -> list[dict]:
-    """Table III: ablation (HBBMC+, RDegen) and hybrid-with-other-kernels.
-    Ref++ (the hybrid with Naudé's refined pivot [12]) is not reproduced: a
-    row keeps only its paper time, ``refpp_paper_s``."""
-    paper = {name: p[:3] + p[4:] for name, p in PAPER_T3.items()}
-    algs = _algs("HBBMC++", "HBBMC+", "RDegen", "Rcd++", "Fac++")
-    rows = _sweep(algs, paper, _paper_s, names, scale)
-    for r in rows:
-        r["refpp_paper_s"] = PAPER_T3[r["dataset"]][3]
-    return rows
-
-
-def table4(names=None, scale="bench") -> list[dict]:
-    """Table IV: edge-oriented branching depth d ∈ {1, 2, 3}."""
-    return _sweep(
-        [(f"d{d}", "HBBMC++", {"d": d}) for d in (1, 2, 3)],
+TABLES: dict[int, Table] = {
+    2: Table(PAPER_T2, [  # HBBMC++ vs the four VBBMC+GR baselines
+        Column("hbbmcpp", "HBBMC++", "HBBMC++"),
+        Column("rref", "BK_Pivot + GR", "RRef"),
+        Column("rdegen", "RDegen", "RDegen"),
+        Column("rrcd", "RRcd", "RRcd"),
+        Column("rfac", "RFac", "RFac"),
+    ]),
+    # Ablation (HBBMC+, RDegen) and hybrids with other kernels; Ref++ (the
+    # hybrid with Naudé's refined pivot [12]) is not reproduced.
+    3: Table(PAPER_T3, [
+        Column("hbbmcpp", "HBBMC++", "HBBMC++"),
+        Column("hbbmcp", "HBBMC+", "HBBMC+"),
+        Column("rdegen", "RDegen", "RDegen"),
+        Column("refpp", "Ref++", None),
+        Column("rcdpp", "Rcd++", "Rcd++"),
+        Column("facpp", "Fac++", "Fac++"),
+    ]),
+    4: Table(  # edge-oriented branching depth d
         PAPER_T4,
-        lambda i, r, p: {"paper_s": p[0], "paper_calls": p[1]},
-        names,
-        scale,
-    )
-
-
-def table5(names=None, scale="bench") -> list[dict]:
-    """Table V: early-termination threshold t ∈ {0, 1, 2, 3} with the b0/b
-    ratio."""
-    return _sweep(
-        [(f"t{t}", "HBBMC++", {"et_t": t}) for t in (0, 1, 2, 3)],
+        [Column(f"d{d}", f"d={d}", "HBBMC++", {"d": d}) for d in (1, 2, 3)],
+        lambda c, r, p: {"paper_s": p[0], "paper_calls": p[1]},
+    ),
+    5: Table(  # early-termination threshold t, with the b0/b ratio
         PAPER_T5,
-        lambda t, r, p: {
-            "ratio": round(100 * r.stats.ratio(), 2) if t else None,
+        [Column(f"t{t}", f"t={t}", "HBBMC++", {"et_t": t}) for t in range(4)],
+        lambda c, r, p: {
+            "ratio": round(100 * r.stats.ratio(), 2) if c.overrides["et_t"] else None,
             "paper_s": p[0],
             "paper_ratio": p[2],
         },
-        names,
-        scale,
-    )
+    ),
+    6: Table(PAPER_T6, [  # initial-branch ordering: truss vs dgn vs mdg vs vertex
+        Column("hbbmcpp", "HBBMC++ (truss)", "HBBMC++"),
+        Column("vbbmc_dgn", "VBBMC-dgn", "VBBMC-dgn"),
+        Column("hbbmc_dgn", "HBBMC-dgn", "HBBMC-dgn"),
+        Column("hbbmc_mdg", "HBBMC-mdg", "HBBMC-mdg"),
+    ]),
+}
 
 
-def table6(names=None, scale="bench") -> list[dict]:
-    """Table VI: initial-branch ordering (truss vs dgn vs mdg vs vertex)."""
-    return _sweep(
-        _algs("HBBMC++", "VBBMC-dgn", "HBBMC-dgn", "HBBMC-mdg"), PAPER_T6, _paper_s, names, scale
-    )
+#: The sweep's run set: each distinct configuration, with a column naming it.
+CONFIGS = {c.config(): c for t in TABLES.values() for c in t.columns if c.algorithm}
 
 
-TABLES = {1: table1, 2: table2, 3: table3, 4: table4, 5: table5, 6: table6}
+def sweep(names=None, scale: str = "bench") -> dict[int, list[dict]]:
+    """Tables II–VI's rows from one sweep: run each of ``CONFIGS`` once per
+    dataset, and check all the runs give one clique count and clique set. A
+    row holds each run column's ``{prefix}_s``, ``{prefix}_calls`` and cells,
+    then ``cliques``, then the paper-only columns' ``{prefix}_paper_s``."""
+    out: dict[int, list[dict]] = {n: [] for n in TABLES}
+    for name in names or DATASET_NAMES:
+        g = load_local(name, scale)
+        runs, outputs = {}, set()
+        for cfg, c in CONFIGS.items():
+            r = run_named(g, c.algorithm, **c.overrides)
+            outputs.add((r.n_cliques, hashlib.sha1(repr(r.cliques).encode()).hexdigest()))
+            # Keep no run's cliques past its digest: one run's at a time in memory.
+            runs[cfg] = replace(r, cliques=[])
+        assert len(outputs) == 1, f"{name}: clique counts or sets disagree: {outputs}"
+        ((cliques, _),) = outputs
+        for n, t in TABLES.items():
+            row: dict = {"dataset": name}
+            cols = list(zip(t.columns, t.paper[name]))
+            for c, p in cols:
+                if c.algorithm:
+                    r = runs[c.config()]
+                    cells = {"s": round(r.seconds, 4), "calls": r.stats.calls, **t.cells(c, r, p)}
+                    row.update({f"{c.prefix}_{k}": v for k, v in cells.items()})
+            row["cliques"] = cliques
+            row.update({f"{c.prefix}_paper_s": p for c, p in cols if not c.algorithm})
+            out[n].append(row)
+    return out

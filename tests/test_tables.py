@@ -1,6 +1,6 @@
 """Smoke-run the table harnesses at test scale (benchmarks/bench_tables.py
-runs them at bench scale), check the committed results/ rows against one
-bench-scale dataset, and check EXPERIMENTS.md against results/."""
+runs them at bench scale), count the sweep's runs, and check the committed
+results/ rows against a bench-scale run and each other, and EXPERIMENTS.md."""
 import importlib.util
 import json
 from pathlib import Path
@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro import tables
+from repro.core.hbbmc import resolve_config, run_named
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
@@ -23,52 +24,90 @@ def test_table1_rows():
         assert isinstance(r["condition"], bool)
 
 
-def test_table2_rows():
-    rows = tables.table2(names=SUBSET, scale="test")
-    for r in rows:
+@pytest.fixture(scope="module")
+def smoke():
+    """Tables II–VI at test scale on ``SUBSET``, from one sweep."""
+    return tables.sweep(names=SUBSET, scale="test")
+
+
+@pytest.fixture(scope="module")
+def bench_na():
+    """Every table's bench-scale NA rows; Tables II–VI from one sweep."""
+    return {1: tables.table1(names=["NA"], scale="bench"), **tables.sweep(names=["NA"], scale="bench")}
+
+
+def test_table2_rows(smoke):
+    for r in smoke[2]:
         assert r["cliques"] > 0
         assert r["hbbmcpp_s"] > 0 and r["rdegen_s"] > 0
         assert r["hbbmcpp_paper_s"] is not None
 
 
-def test_table3_rows():
-    rows = tables.table3(names=SUBSET, scale="test")
-    for r in rows:
+def test_table3_rows(smoke):
+    for r in smoke[3]:
         assert {"hbbmcpp_s", "hbbmcp_s", "rdegen_s", "rcdpp_s", "facpp_s"} <= set(r)
         # Ref++ is not run: only the paper's time is carried.
         assert "refpp_s" not in r and r["refpp_paper_s"] > 0
 
 
-def test_table4_rows():
-    rows = tables.table4(names=SUBSET, scale="test")
-    for r in rows:
+def test_table4_rows(smoke):
+    for r in smoke[4]:
         assert r["d1_calls"] > 0 and r["d3_calls"] > 0
         assert r["d1_paper_s"] is not None
 
 
-def test_table5_rows():
-    rows = tables.table5(names=SUBSET, scale="test")
-    for r in rows:
+def test_table5_rows(smoke):
+    for r in smoke[5]:
         assert r["t0_ratio"] is None
         assert 0 <= r["t3_ratio"] <= 100
         assert r["t3_calls"] <= r["t0_calls"]
 
 
-def test_table6_rows():
-    rows = tables.table6(names=SUBSET, scale="test")
-    for r in rows:
+def test_table6_rows(smoke):
+    for r in smoke[6]:
         assert {"hbbmcpp_s", "vbbmc_dgn_s", "hbbmc_dgn_s", "hbbmc_mdg_s"} <= set(r)
 
 
-@pytest.mark.parametrize("n", sorted(tables.TABLES))
-def test_columns_match_committed_results(n):
+def test_sweep_runs_each_config_once(monkeypatch):
+    """The sweep makes one ``run_named`` call per distinct configuration of
+    Tables II–VI and dataset, and every column shows one of those runs."""
+    calls = []
+
+    def counted(g, name, **overrides):
+        calls.append((resolve_config(name, overrides), run_named(g, name, **overrides)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(tables, "run_named", counted)
+    out = tables.sweep(names=["NA"], scale="test")
+    runs = dict(calls)
+    assert len(calls) == len(runs) == len(tables.CONFIGS) == 15
+    for n, t in tables.TABLES.items():
+        for c in filter(lambda c: c.algorithm, t.columns):
+            r, (row,) = runs[c.config()], out[n]
+            assert (row[f"{c.prefix}_s"], row[f"{c.prefix}_calls"]) == (round(r.seconds, 4), r.stats.calls)
+
+
+def test_shared_configs_hold_one_run_in_committed_results():
+    """Columns, in any tables, that resolve to one configuration hold the
+    same time and calls in every committed row: one run serves them all."""
+    seen = {}
+    for n, t in tables.TABLES.items():
+        for r in json.loads((RESULTS / f"table{n}.json").read_text()):
+            for c in filter(lambda c: c.algorithm, t.columns):
+                got = (r[f"{c.prefix}_s"], r[f"{c.prefix}_calls"])
+                first = seen.setdefault((r["dataset"], c.config()), (n, c.prefix, got))
+                assert first[2] == got, f"{r['dataset']}: {first} vs {(n, c.prefix, got)}"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_columns_match_committed_results(bench_na, n):
     """The committed NA row of results/tableN.json is this program's output:
     every column but the times (``*_s``) holds the value a bench-scale run
     gives now. scripts/make_experiments.py renders the rows by column name,
     so the columns and their order are part of the output too."""
     committed_rows = json.loads((RESULTS / f"table{n}.json").read_text())
     (committed,) = [r for r in committed_rows if r["dataset"] == "NA"]
-    (row,) = tables.TABLES[n](names=["NA"], scale="bench")
+    (row,) = bench_na[n]
     assert list(row) == list(committed)
     untimed = [k for k in row if not k.endswith("_s")]
     assert {k: row[k] for k in untimed} == {k: committed[k] for k in untimed}
