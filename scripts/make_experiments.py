@@ -142,13 +142,13 @@ def render() -> str:
     # ---------------- Table V ----------------
     cols = TABLES[5].columns
     rows = [
-        [r["dataset"], *cells(r, 5, "paper_s", "s"), *cells(r, 5, "calls")]
+        [r["dataset"], *cells(r, 5, "paper_s", "s"), *cells(r, 5, "paper_calls", "calls")]
         + [f"{fmt(r['t3_paper_ratio'])} / {fmt(r['t3_ratio'])}"]
         for r in t5
     ]
     parts.append(
-        "## Table V — early-termination threshold t (paper s / measured s; measured #calls; ratio % at t=3)\n\n"
-        + md(["ds", *(c.label for c in cols), *(f"c {c.label}" for c in cols), "ratio(t=3)"], rows)
+        "## Table V — early-termination threshold t (paper / measured; ratio % at t=3)\n\n"
+        + md(["ds", *(f"{c.label} s" for c in cols), *(f"{c.label} #calls" for c in cols), "ratio(t=3)"], rows)
         + t5_narrative(t5)
     )
 

@@ -5,15 +5,16 @@ A graph is its canonical edge arrays: the vertex ids in sorted order
 as dense indices into ``ids`` (``eu < ev``, rows sorted by (eu, ev), so
 (eu, ev) order is (u, v) id order and no array is sized by the largest id).
 ``from_edges`` builds them in numpy from pairs; GR
-(``repro.core.reduction``) and the truss peel (``repro.core.ordering``)
-read them directly.
+(``repro.core.reduction``) and the one peel behind the degeneracy and truss
+orders (``repro.core.ordering``) read them directly.
 
-The kernels read ``adj``, a ``dict[int, set[int]]`` that is built on first
-use and cached, so a graph whose vertices GR peels away never pays for
-their sets. A graph is not modified once built. The distributed layer
-broadcasts a ``RootPlan`` (with ``adj`` as a plain dict) and the task
-groups, not a ``LocalGraph``. Vertices are ints; the graph is simple and
-undirected (no self-loops, no parallel edges).
+Only the kernels read ``adj``, a ``dict[int, set[int]]`` that is built on
+first use and cached, so a graph whose vertices GR peels away, or whose
+orders and Table I statistics alone are wanted, never pays for the sets.
+A graph is not modified once built. The distributed layer broadcasts a
+``RootPlan`` (with ``adj`` as a plain dict) and the task groups, not a
+``LocalGraph``. Vertices are ints; the graph is simple and undirected (no
+self-loops, no parallel edges).
 """
 from __future__ import annotations
 
@@ -61,22 +62,14 @@ class LocalGraph:
     @property
     def adj(self) -> dict[int, set[int]]:
         if self._adj is None:
-            ptr, nbr = self.csr()
-            heads = self.ids[nbr].tolist()
-            ptr = ptr.tolist()
+            eu, ev = self.eu, self.ev
+            by_tail = np.argsort(np.concatenate((eu, ev)), kind="stable")
+            heads = self.ids[np.concatenate((ev, eu))[by_tail]].tolist()
+            ptr = [0, *np.cumsum(self.deg).tolist()]
             self._adj = {
                 v: set(heads[ptr[i] : ptr[i + 1]]) for i, v in enumerate(self.ids.tolist())
             }
         return self._adj
-
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(ptr, nbr)``: the neighbours of vertex ``ids[i]`` are
-        ``nbr[ptr[i] : ptr[i + 1]]``, as indices into ``ids``."""
-        eu, ev = self.eu, self.ev
-        nbr = np.concatenate((ev, eu))[np.argsort(np.concatenate((eu, ev)), kind="stable")]
-        ptr = np.zeros(len(self.deg) + 1, dtype=np.int64)
-        np.cumsum(self.deg, out=ptr[1:])
-        return ptr, nbr
 
     @property
     def n(self) -> int:
@@ -95,11 +88,3 @@ class LocalGraph:
         """Edge density rho = m / n as defined in the paper (Section III-C)."""
         return self.m / self.n if self.n else 0.0
 
-
-def gather(ptr: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The concatenated CSR segments ``values[ptr[r] : ptr[r + 1]]`` of
-    ``rows``."""
-    starts = ptr[rows]
-    lens = ptr[rows + 1] - starts
-    shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
-    return values[shift + np.arange(len(shift))]

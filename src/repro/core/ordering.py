@@ -1,35 +1,101 @@
-"""Local peeling orders: degeneracy (vertex) and truss (edge).
+"""The one peel, and the three orders the paper's bounds rely on.
 
-These are the peels the paper's bounds rely on:
+``peel(groups, n)`` peels items covered by groups: an item's *support* is
+its number of whole groups, a group breaks when a member leaves, and each
+live member of a broken group loses one support (the nucleus-decomposition
+view, Sariyüce et al., WWW 2015, in PKT's round-synchronous form, Kabir &
+Madduri, HPEC 2017). Its three callers differ only in the groups:
 
-- Degeneracy ordering: repeatedly remove a minimum-degree vertex. The largest
-  degree seen at removal time is the degeneracy ``delta``; every vertex has at
-  most ``delta`` later neighbors.
-- Truss-based edge ordering (Wang et al. [19]): peel edges by the number of
-  triangles they still close (their support), level by level. Here the peel
-  is round-synchronous and runs in numpy: at level k one round removes every
-  live edge with support <= k, in (u, v) order. Every edge's support when its
-  round starts is at most k, so the largest level reached is ``tau`` (<
-  delta), the truss number minus 2, the same value the sequential greedy
-  min-support peel reports (the tests' oracle, ``tests/oracles.py``); in
-  HBBMC the candidate graph of every root edge branch has at most ``tau``
-  vertices.
+- ``degeneracy_order``: vertices in edges, so the support is the live
+  degree. The last level is the degeneracy ``delta``; every vertex has at
+  most ``delta`` later neighbours.
+- ``truss_peel`` (Wang et al. [19]): edges in triangles. The last level is
+  ``tau`` (< delta), the truss number minus 2; in HBBMC the candidate graph
+  of every root edge branch has at most ``tau`` vertices.
+- GR (``repro.core.reduction``): the vertex peel stopped before level 3,
+  which removes exactly the vertices outside the 3-core.
 
-The truss peel and the edge orders read the graph's canonical edge arrays
-(``repro.core.localgraph``), and ``edge_order_rank`` returns positions in
-them; the degeneracy peel reads the adjacency sets. Both peels run in one
-process: in process, or on the driver for a Spark run.
+Both levels equal those of the sequential greedy peels (the tests'
+oracles, ``tests/oracles.py``). The peels read the graph's canonical edge
+arrays (``repro.core.localgraph``), never its adjacency sets, which only
+the kernels read; ``edge_order_rank`` returns positions in the edge
+arrays. They run in one process: in process, or on the driver for a Spark
+run.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from .localgraph import LocalGraph, gather
+from .localgraph import LocalGraph
 
 Pair = tuple[int, int]
+
+
+def gather(ptr: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The concatenated CSR segments ``values[ptr[r] : ptr[r + 1]]`` of
+    ``rows``."""
+    starts = ptr[rows]
+    lens = ptr[rows + 1] - starts
+    shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return values[shift + np.arange(len(shift))]
+
+
+def peel(groups: np.ndarray, n: int, stop: int | None = None) -> tuple[np.ndarray, int]:
+    """The items ``0..n-1`` in removal order, and the last level k, of the
+    round-synchronous peel over ``groups`` (a (G, r) array of item ids).
+
+    k starts at the smallest support. Each round removes every live item of
+    support <= k, emitted in index order, breaks every whole group one of
+    them is in, and takes one support from each live member of each broken
+    group. k rises, to the smallest live support, only when no live item is
+    left at or below it. So every item's support when its round starts is
+    <= k, and it has at most k groups whose other members all go after it.
+    With ``stop``, the peel ends instead of raising k to ``stop`` or more:
+    the items left are the largest set in which each item has ``stop`` or
+    more groups inside the set (for edge groups, the ``stop``-core).
+
+    Cost: one sort of the G * r group-item incidences; each round's numpy
+    work is proportional to the groups it breaks, and each level adds one
+    O(n) scan.
+    """
+    # Column by column: the first column of an edge or triangle array is
+    # sorted, a run the stable sort takes as it is.
+    flat = groups.T.ravel()
+    sup = np.bincount(flat, minlength=n)
+    # Item -> groups CSR: the groups of item i are
+    # item_groups[ptr[i] : ptr[i + 1]].
+    item_groups = np.argsort(flat, kind="stable") % len(groups)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(sup, out=ptr[1:])
+    alive = np.ones(n, dtype=bool)
+    whole = np.ones(len(groups), dtype=bool)
+    rounds: list[np.ndarray] = []
+    k = 0
+    left = n
+    frontier = np.empty(0, dtype=np.int64)
+    while left:
+        if not frontier.size:
+            # Every live support is above k: raise k to the smallest.
+            live = np.flatnonzero(alive)
+            low = int(sup[live].min())
+            if stop is not None and low >= stop:
+                break
+            k = low
+            frontier = live[sup[live] == k]
+        rounds.append(frontier)
+        alive[frontier] = False
+        left -= len(frontier)
+        broken = gather(ptr, frontier, item_groups)
+        broken = np.unique(broken[whole[broken]])
+        whole[broken] = False
+        hit = groups[broken].ravel()
+        hit, lost = np.unique(hit[alive[hit]], return_counts=True)
+        sup[hit] -= lost
+        frontier = hit[sup[hit] <= k]
+    order = np.concatenate(rounds) if rounds else np.empty(0, dtype=np.int64)
+    return order, k
 
 
 @dataclass(frozen=True)
@@ -43,32 +109,14 @@ class DegeneracyResult:
 
 
 def degeneracy_order(g: LocalGraph) -> DegeneracyResult:
-    """Min-degree peel over a lazy heap, O(m log n). Ties break on vertex id
-    so the order (and everything downstream) is deterministic."""
-    deg = {v: len(nbrs) for v, nbrs in g.adj.items()}
-    # Entries are keyed (degree, vertex); a degree drop pushes a new entry
-    # and leaves the old one stale.
-    heap: list[tuple[int, int]] = [(d, v) for v, d in deg.items()]
-    heapq.heapify(heap)
-    removed: set[int] = set()
-    order: list[int] = []
-    # v's degree when it is popped counts exactly its unremoved, i.e. later,
-    # neighbours.
-    later: list[int] = []
-    delta = 0
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in removed or d != deg[v]:
-            continue  # stale entry
-        removed.add(v)
-        order.append(v)
-        later.append(d)
-        delta = max(delta, d)
-        for u in g.adj[v]:
-            if u not in removed:
-                deg[u] -= 1
-                heapq.heappush(heap, (deg[u], u))
-    return DegeneracyResult(order=order, later=later, delta=delta)
+    """The vertex peel of ``g`` (groups: its edges), as vertex ids. Within a
+    round vertices go in id order, so the order depends only on the edge
+    set. ``later`` counts, for each edge, its endpoint that goes first."""
+    eu, ev = g.eu, g.ev
+    order, delta = peel(np.stack((eu, ev), axis=1), g.n)
+    pos = np.argsort(order)
+    later = np.bincount(np.where(pos[eu] < pos[ev], eu, ev), minlength=g.n)
+    return DegeneracyResult(order=g.ids[order].tolist(), later=later[order].tolist(), delta=delta)
 
 
 def _triangles(deg: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
@@ -104,68 +152,22 @@ def _triangles(deg: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
 
 def truss_peel(g: LocalGraph) -> tuple[np.ndarray, int]:
     """The truss-based edge order, as positions in ``g``'s edge arrays, and
-    tau, from a round-synchronous support peel (PKT, Kabir & Madduri, HPEC
-    2017; after Wang & Cheng, PVLDB 2012).
-
-    ``support(e)`` = number of triangles through e whose three edges are all
-    still live. Supports start from one listing of every triangle
-    (``np.bincount``). The peel keeps a level k, starting at the smallest
-    support. Each round removes every live edge whose support is <= k and
-    emits those edges in (u, v) order, then lowers by one
-    (``np.subtract.at``) the support of each surviving edge of each triangle
-    the round broke. k rises, to the smallest live support, only when no live
-    edge is left at or below it. ``tau`` is the last level.
+    tau: the peel over every triangle (``_triangles``) as a group of its
+    three edges (after Wang & Cheng, PVLDB 2012).
 
     Why tau holds: an edge's support when its round starts is <= k <= tau,
     and every edge that closes a triangle with it and is ranked after it was
-    live then, so each root edge branch has at most tau candidates. tau is the
-    largest k for which some subgraph gives every edge >= k triangles (the
-    truss number minus 2), the same number the greedy min-support peel
-    reports. Ties: within a round, edges go in (u, v) order, which keeps each
-    vertex's edges together; the order depends only on the edge set.
+    live then, so each root edge branch has at most tau candidates. tau is
+    the largest k for which some subgraph gives every edge >= k triangles
+    (the truss number minus 2), the same number the greedy min-support peel
+    reports. Ties: within a round, edges go in (u, v) order, which keeps
+    each vertex's edges together.
 
     Cost: the triangle listing does one C-level set intersection per edge,
-    O(m * sqrt(m)) at worst; sorting the T triangle-edge incidences costs
-    O(T log T); each round's numpy work is proportional to the triangles it
-    breaks, and each level adds one O(m) scan (at most tau + 1 levels).
-    The peel reads ``g``'s canonical edge arrays, whose vertices are dense
-    indices in id order, so huge or sparse ids cost nothing extra.
+    O(m * sqrt(m)) at worst; then the peel's. Vertices are dense indices in
+    id order, so huge or sparse ids cost nothing extra.
     """
-    deg, eu, ev = g.deg, g.eu, g.ev
-    m = len(eu)
-    tri = _triangles(deg, eu, ev)
-    flat = tri.ravel()
-    sup = np.bincount(flat, minlength=m)
-    # Edge -> triangles CSR: the triangles through edge e are
-    # edge_tris[eptr[e] : eptr[e + 1]].
-    edge_tris = np.argsort(flat, kind="stable") // 3
-    eptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(sup, out=eptr[1:])
-    alive = np.ones(m, dtype=bool)
-    tri_live = np.ones(len(tri), dtype=bool)
-    rounds: list[np.ndarray] = []
-    k = 0
-    left = m
-    frontier = np.empty(0, dtype=np.int64)
-    while left:
-        if not frontier.size:
-            # Every live support is above k: raise k to the smallest.
-            live = np.flatnonzero(alive)
-            k = int(sup[live].min())
-            frontier = live[sup[live] == k]
-        rounds.append(frontier)
-        alive[frontier] = False
-        left -= len(frontier)
-        broken = gather(eptr, frontier, edge_tris)
-        broken = np.unique(broken[tri_live[broken]])
-        tri_live[broken] = False
-        hit = tri[broken].ravel()
-        hit = hit[alive[hit]]
-        np.subtract.at(sup, hit, 1)
-        hit = np.unique(hit)
-        frontier = hit[sup[hit] <= k]
-    order = np.concatenate(rounds) if rounds else np.empty(0, dtype=np.int64)
-    return order, k
+    return peel(_triangles(g.deg, g.eu, g.ev), g.m)
 
 
 #: Names of the paper's initial-branch edge orders (``edge_order_rank``).
@@ -193,8 +195,7 @@ def edge_order_rank(g: LocalGraph, kind: str) -> np.ndarray:
         return truss_peel(g)[0]
     eu, ev = g.eu, g.ev
     if kind == "dgn":
-        pos = np.empty(g.n, dtype=np.int64)
-        pos[np.searchsorted(g.ids, degeneracy_order(g).order)] = np.arange(g.n)
+        pos = np.argsort(peel(np.stack((eu, ev), axis=1), g.n)[0])
         pu, pv = pos[eu], pos[ev]
         return np.lexsort((np.maximum(pu, pv), np.minimum(pu, pv)))
     deg = g.deg

@@ -9,13 +9,14 @@ threshold) and removes exactly the vertices outside the 3-core, which is
 unique (Batagelj & Zaversnik, 2003).
 
 GR runs in numpy on the graph's canonical edge arrays, which it only reads.
-The peel is round-synchronous: round r removes every live vertex of degree
-<= 2, then lowers its live neighbours' degrees. That is one valid
-sequential peel, in order of each removed vertex's *elimination key*
-(round, index); a core vertex's key is above every removed one's. When x
-goes in that order, its live neighbours are R(x), the neighbours of x with
-a larger key, and |R(x)| <= 2. The sequential rules then give GR's cliques
-in closed form:
+It is the shared vertex peel (``repro.core.ordering.peel``, with the edges
+as groups) stopped before level 3. Each round of it removes live vertices
+of degree at most its level, which stays below 3, so its order is one
+valid sequential peel, and a removed vertex's *elimination key* is its
+position in that order; a core vertex's key is above every removed one's.
+When x goes in that order, its live neighbours are R(x), the neighbours
+of x with a larger key, and |R(x)| <= 2. The sequential rules then give
+GR's cliques in closed form:
 
 - each vertex of degree 0;
 - x ∪ R(x) for each removed x whose R(x) is an edge {a, b} (a triangle);
@@ -45,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .localgraph import LocalGraph, gather
+from .localgraph import LocalGraph
+from .ordering import peel
 
 
 @dataclass
@@ -60,22 +62,12 @@ def reduce_graph(g: LocalGraph) -> Reduction:
     """Apply GR without modifying ``g``."""
     ids, deg, eu, ev = g.ids, g.deg, g.eu, g.ev
     n = len(ids)
-    ptr, nbr = g.csr()
-    # Round-synchronous 3-core peel; a core vertex keeps round n.
-    live_deg = deg.copy()
-    rnd = np.full(n, n, dtype=np.int64)
-    frontier = np.flatnonzero(deg <= 2)
-    r = 0
-    while frontier.size:
-        rnd[frontier] = r
-        hit = gather(ptr, frontier, nbr)
-        hit = hit[rnd[hit] == n]
-        live_deg -= np.bincount(hit, minlength=n)
-        hit = np.unique(hit)
-        frontier = hit[live_deg[hit] <= 2]
-        r += 1
-    core = rnd == n
-    key = rnd * n + np.arange(n)
+    removed, _ = peel(np.stack((eu, ev), axis=1), n, stop=3)
+    # Elimination keys: a removed vertex's position in the peel, a core
+    # vertex's above all of them.
+    key = np.arange(n, 2 * n)
+    key[removed] = np.arange(len(removed))
+    core = key >= n
     # Every edge with a removed end, oriented from x (smaller key) to y in
     # R(x), grouped by x.
     touched = ~(core[eu] & core[ev])
@@ -109,4 +101,4 @@ def reduce_graph(g: LocalGraph) -> Reduction:
     new = np.cumsum(core) - 1
     kept = ~touched
     reduced = LocalGraph(ids[core], new[eu[kept]], new[ev[kept]])
-    return Reduction(reduced=reduced, cliques=cliques, blocked=blocked, removed=int(n - core.sum()))
+    return Reduction(reduced=reduced, cliques=cliques, blocked=blocked, removed=len(removed))

@@ -175,6 +175,7 @@ TABLES: dict[int, Table] = {
         lambda c, r, p: {
             "ratio": round(100 * r.stats.ratio(), 2) if c.overrides["et_t"] else None,
             "paper_s": p[0],
+            "paper_calls": p[1],
             "paper_ratio": p[2],
         },
     ),

@@ -6,9 +6,11 @@ validated against ``brute_force_mce`` (subset enumeration) on tiny graphs
 (``test_reference.py``), and every production algorithm is fuzzed against
 it; ``verify_cliques`` checks a clique list against it.
 
-``greedy_truss_order`` is the sequential min-support edge peel, the oracle
-for the truss number tau that ``repro.core.ordering.truss_peel`` must
-report.
+``core_numbers`` is the sequential min-degree vertex peel, the oracle for
+the degeneracy delta that ``repro.core.ordering.degeneracy_order`` must
+report and for the 3-core that GR keeps. ``greedy_truss_order`` is the
+sequential min-support edge peel, the oracle for the truss number tau that
+``repro.core.ordering.truss_peel`` must report.
 
 ``er_edges`` (Erdős–Rényi) and ``caveman_edges`` (ring of cliques) are the
 tests' random inputs; like ``repro.graphs.generators``, they return
@@ -16,6 +18,7 @@ canonical edge arrays with rows sorted by (u, v).
 """
 from __future__ import annotations
 
+import heapq
 from itertools import combinations
 
 import numpy as np
@@ -85,6 +88,32 @@ def verify_cliques(g: LocalGraph, cliques: list[tuple[int, ...]]) -> None:
     extra = seen - expected
     assert not missing, f"missing cliques, e.g. {sorted(next(iter(missing)))}"
     assert not extra, f"extra cliques, e.g. {sorted(next(iter(extra)))}"
+
+
+def core_numbers(g: LocalGraph) -> dict[int, int]:
+    """Each vertex's core number, from the sequential min-degree peel over a
+    lazy heap, O(m log n): a vertex's core number is the largest degree
+    seen at removal time up to and including its own. The largest is the
+    degeneracy delta, and the vertices of core number >= 3 are the 3-core.
+    Ties break on vertex id."""
+    deg = {v: len(nbrs) for v, nbrs in g.adj.items()}
+    # Entries are keyed (degree, vertex); a degree drop pushes a new entry
+    # and leaves the old one stale.
+    heap = [(d, v) for v, d in deg.items()]
+    heapq.heapify(heap)
+    core: dict[int, int] = {}
+    level = 0
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in core or d != deg[v]:
+            continue  # stale entry
+        level = max(level, d)
+        core[v] = level
+        for u in g.adj[v]:
+            if u not in core:
+                deg[u] -= 1
+                heapq.heappush(heap, (deg[u], u))
+    return core
 
 
 def greedy_truss_order(g: LocalGraph) -> tuple[list[tuple[int, int]], int]:

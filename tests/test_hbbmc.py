@@ -235,22 +235,27 @@ def test_seconds_recorded():
 #: seven truss-ordered runs, and nothing else (the cliques and root branches
 #: stayed). Re-recorded again when an edge branch handed to the vertex
 #: kernel came to be counted once, by the kernel: every edge-rooted run's
-#: calls fell by its hand-offs and no other counter moved. A speed-up must
-#: not move them: #calls is the machine-independent control.
+#: calls fell by its hand-offs and no other counter moved. Re-recorded
+#: again when the degeneracy order came from the round-synchronous peel
+#: (ties within a level go by round, then id, not one vertex at a time):
+#: that moved the degeneracy order and so the calls, et_plex and et_applied
+#: of the five degeneracy-ordered runs (RDegen, RRcd, RFac, VBBMC-dgn,
+#: HBBMC-dgn), and nothing else. A speed-up must not move them: #calls is
+#: the machine-independent control.
 PINNED_COUNTERS = {
     ("Fac++", None): (1828, 1608, 514, 1325, 1641, 0, 1325),
     ("HBBMC+", None): (2252, 0, 0, 1325, 1641, 0, 1325),
     ("HBBMC++", None): (1375, 1180, 491, 1325, 1641, 0, 1325),
-    ("HBBMC-dgn", None): (1688, 1408, 463, 1325, 1641, 0, 1325),
+    ("HBBMC-dgn", None): (1337, 981, 415, 1325, 1641, 0, 1325),
     ("HBBMC-mdg", None): (1283, 821, 351, 1325, 1641, 0, 1325),
-    ("RDegen", None): (2542, 0, 0, 1325, 240, 0, 1325),
-    ("RFac", None): (2961, 0, 0, 1325, 240, 0, 1325),
-    ("RRcd", None): (1540, 0, 0, 1325, 240, 0, 1325),
+    ("RDegen", None): (2482, 0, 0, 1325, 240, 0, 1325),
+    ("RFac", None): (3092, 0, 0, 1325, 240, 0, 1325),
+    ("RRcd", None): (1630, 0, 0, 1325, 240, 0, 1325),
     ("RRef", None): (2407, 0, 0, 1325, 1, 0, 1325),
     ("Rcd++", None): (1122, 1421, 287, 1325, 1641, 0, 1325),
-    ("VBBMC-dgn", None): (1601, 763, 379, 1325, 240, 0, 1325),
+    ("VBBMC-dgn", None): (1501, 681, 367, 1325, 240, 0, 1325),
     ("HBBMC++", 2): (1241, 532, 253, 1325, 1641, 0, 1325),
-    ("HBBMC-dgn", 2): (1831, 1112, 314, 1325, 1641, 0, 1325),
+    ("HBBMC-dgn", 2): (1197, 576, 254, 1325, 1641, 0, 1325),
     ("HBBMC-mdg", 2): (1018, 468, 215, 1325, 1641, 0, 1325),
     ("HBBMC++", 3): (1312, 320, 320, 1325, 1641, 0, 1325),
     ("HBBMC++", EBBMC_D): (1312, 0, 0, 1325, 1641, 0, 1325),
@@ -271,20 +276,21 @@ def test_counters_pinned():
 #: on ``tail_graph()``, where GR removes 2,924 of 3,096 vertices and emits
 #: 4,338 of the 4,732 cliques (GR removes nothing on the surrogates, so
 #: ``test_counters_pinned`` never exercises it). Re-recorded, like
-#: ``PINNED_COUNTERS``, when the truss peel became round-synchronous and
-#: when a hand-off to the kernel came to be counted once.
+#: ``PINNED_COUNTERS``, when the truss peel became round-synchronous, when
+#: a hand-off to the kernel came to be counted once, and when the
+#: degeneracy order came from the round-synchronous peel.
 PINNED_COUNTERS_GR_HEAVY = {
     "Fac++": (433, 432, 108, 394, 704, 4338, 4732),
     "HBBMC+": (729, 0, 0, 394, 704, 4338, 4732),
     "HBBMC++": (244, 243, 108, 394, 704, 4338, 4732),
-    "HBBMC-dgn": (614, 608, 123, 394, 704, 4338, 4732),
+    "HBBMC-dgn": (236, 232, 104, 394, 704, 4338, 4732),
     "HBBMC-mdg": (172, 162, 79, 394, 704, 4338, 4732),
-    "RDegen": (955, 0, 0, 394, 172, 4338, 4732),
-    "RFac": (1071, 0, 0, 394, 172, 4338, 4732),
-    "RRcd": (474, 0, 0, 394, 172, 4338, 4732),
+    "RDegen": (889, 0, 0, 394, 172, 4338, 4732),
+    "RFac": (1172, 0, 0, 394, 172, 4338, 4732),
+    "RRcd": (559, 0, 0, 394, 172, 4338, 4732),
     "RRef": (851, 0, 0, 394, 1, 4338, 4732),
     "Rcd++": (232, 327, 52, 394, 704, 4338, 4732),
-    "VBBMC-dgn": (452, 345, 80, 394, 172, 4338, 4732),
+    "VBBMC-dgn": (316, 233, 73, 394, 172, 4338, 4732),
 }
 
 

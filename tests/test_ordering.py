@@ -1,4 +1,4 @@
-"""Tests for the local peels: degeneracy and truss orderings."""
+"""Tests for the one peel: the degeneracy and truss orderings, and GR's 3-core."""
 import hashlib
 import random
 
@@ -6,9 +6,10 @@ import pytest
 
 from repro.core.localgraph import LocalGraph
 from repro.core.ordering import degeneracy_order, edge_order_rank, truss_peel
+from repro.core.reduction import reduce_graph
 from repro.graphs.datasets import DATASET_NAMES, load_local
 from repro.graphs.generators import ba_edges, to_local
-from tests.oracles import er_edges, greedy_truss_order
+from tests.oracles import core_numbers, er_edges, greedy_truss_order
 from tests.test_reduction import tail_graph
 
 
@@ -49,6 +50,25 @@ def test_degeneracy_later_neighbor_bound(seed):
     for i, v in enumerate(r.order):
         later = sum(1 for u in g.adj[v] if pos[u] > i)
         assert r.later[i] == later <= r.delta
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *[pytest.param(lambda s=s: to_local(er_edges(60, 300, s), 60), id=f"er60-{s}") for s in range(4)],
+        pytest.param(tail_graph, id="tail"),
+        *[pytest.param(lambda name=name: load_local(name, "test"), id=name) for name in DATASET_NAMES],
+    ],
+)
+def test_vertex_peel_matches_sequential_core_numbers(make):
+    """The round-synchronous vertex peel reports the sequential peel's delta
+    (the largest core number), and GR, the same peel stopped before level 3,
+    removes exactly the vertices of core number below 3."""
+    g = make()
+    core = core_numbers(g)
+    assert degeneracy_order(g).delta == max(core.values(), default=0)
+    kept = set(reduce_graph(g).reduced.ids.tolist())
+    assert set(g.ids.tolist()) - kept == {v for v, c in core.items() if c < 3}
 
 
 # -- truss ---------------------------------------------------------------
