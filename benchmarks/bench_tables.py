@@ -1,6 +1,7 @@
 """Benchmark reproducing evaluation Tables I–VI (bench-scale surrogates): Table
-I's statistics and the one sweep behind Tables II–VI, run once (a multi-minute
-sweep: statistical rounds are pointless), persisted to results/tableN.json."""
+I's statistics and the one sweep behind Tables II–VI, persisted to
+results/tableN.json. The sweep times each configuration ``tables.ROUNDS``
+times itself, interleaved, so pytest-benchmark runs it once."""
 from benchmarks._common import save
 from repro.tables import sweep, table1
 

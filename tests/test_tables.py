@@ -1,9 +1,11 @@
 """Smoke-run the table harnesses at test scale (benchmarks/bench_tables.py
-runs them at bench scale), count the sweep's runs, and check the committed
-results/ rows against a bench-scale run and each other, and EXPERIMENTS.md."""
+runs them at bench scale), count the sweep's runs, check the time claims'
+tie rule, and check the committed results/ rows against a bench-scale run
+and each other, and EXPERIMENTS.md."""
 import importlib.util
 import json
 from pathlib import Path
+from statistics import median
 
 import pytest
 
@@ -68,9 +70,11 @@ def test_table6_rows(smoke):
         assert {"hbbmcpp_s", "vbbmc_dgn_s", "hbbmc_dgn_s", "hbbmc_mdg_s"} <= set(r)
 
 
-def test_sweep_runs_each_config_once(monkeypatch):
-    """The sweep makes one ``run_named`` call per distinct configuration of
-    Tables II–VI and dataset, and every column shows one of those runs."""
+def test_sweep_warms_up_then_interleaves_rounds(monkeypatch):
+    """Per dataset the sweep makes one warm-up ``run_named`` call, then
+    ``ROUNDS`` rounds of one call per distinct configuration of Tables II–VI;
+    each column shows the median, min and max of its configuration's timed
+    runs, whose calls agree."""
     calls = []
 
     def counted(g, name, **overrides):
@@ -79,12 +83,47 @@ def test_sweep_runs_each_config_once(monkeypatch):
 
     monkeypatch.setattr(tables, "run_named", counted)
     out = tables.sweep(names=["NA"], scale="test")
-    runs = dict(calls)
-    assert len(calls) == len(runs) == len(tables.CONFIGS) == 15
+    configs = list(tables.CONFIGS)
+    assert len(configs) == 15
+    assert [cfg for cfg, _ in calls] == configs[:1] + configs * tables.ROUNDS
+    timed = calls[1:]
     for n, t in tables.TABLES.items():
         for c in filter(lambda c: c.algorithm, t.columns):
-            r, (row,) = runs[c.config()], out[n]
-            assert (row[f"{c.prefix}_s"], row[f"{c.prefix}_calls"]) == (round(r.seconds, 4), r.stats.calls)
+            rs = [r for cfg, r in timed if cfg == c.config()]
+            secs = [r.seconds for r in rs]
+            (row,) = out[n]
+            assert [row[f"{c.prefix}_{k}"] for k in ("s", "min_s", "max_s")] == [
+                round(median(secs), 4), round(min(secs), 4), round(max(secs), 4)
+            ]
+            assert {r.stats.calls for r in rs} == {row[f"{c.prefix}_calls"]}
+
+
+def test_time_claims_count_a_win_only_beyond_the_spread():
+    """A time claim wins where its slowest run beats the other's fastest,
+    loses where the other's slowest beats its fastest, and ties on
+    overlapping ranges and on equal times; an exact claim counts the rows
+    its predicate holds on."""
+    faster = tables.Faster(6, "a is faster than b", "a", ("b",))
+    calls = tables.Exact(6, "a makes fewer calls than b", lambda r: r["a_calls"] < r["b_calls"])
+
+    def row(a, b, a_calls, b_calls):
+        return {"a_min_s": a[0], "a_max_s": a[1], "b_min_s": b[0], "b_max_s": b[1],
+                "a_calls": a_calls, "b_calls": b_calls}
+
+    rows = [
+        row((1.0, 1.2), (1.3, 1.5), 5, 9),  # win
+        row((1.3, 1.5), (1.0, 1.2), 9, 5),  # loss
+        row((1.0, 1.4), (1.3, 1.5), 5, 5),  # overlapping ranges: tie
+        row((1.0, 1.0), (1.0, 1.0), 4, 9),  # equal times: tie
+    ]
+    assert [faster.outcome(r) for r in rows] == ["win", "loss", "tie", "tie"]
+    # Against two others, one overlap is enough to keep a win from counting.
+    three = tables.Faster(4, "a is faster than b and c", "a", ("b", "c"))
+    r = {**rows[0], "c_min_s": 1.1, "c_max_s": 2.0}
+    assert three.outcome(r) == "tie"
+    assert three.outcome({**r, "c_min_s": 1.25}) == "win"
+    assert three.outcome({**r, "c_min_s": 0.8, "c_max_s": 0.9}) == "loss"
+    assert sum(calls.holds(r) for r in rows) == 2
 
 
 def test_shared_configs_hold_one_run_in_committed_results():
