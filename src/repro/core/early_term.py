@@ -18,7 +18,7 @@ Cost follows output: ``inverse_components`` reads the inverse graph off the
 cycle are built once per length (``path_mis``/``cycle_mis`` are cached), and
 ``enumerate_tplex`` builds each clique tuple once, with S merged in, and
 sorts it once. The kernels (``repro.core.kernels``) detect the t-plex
-condition and decide whether the cliques need GR's blocked-pair filter.
+condition and append the cliques to their output in one batch.
 """
 from __future__ import annotations
 

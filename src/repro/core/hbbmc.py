@@ -140,7 +140,7 @@ class RootPlan:
 
     config: MceConfig
     adj: dict[int, set[int]]  # the GR-reduced graph
-    blocked: set[frozenset[int]]  # GR blocked pairs (Enumerator.emit)
+    blocked: set[tuple[int, int]]  # GR's blocked pairs, dropped by run_roots
     # The roots in sweep order: edges in rank order (edge roots), vertices
     # in degeneracy order (degeneracy root), or None (global root).
     order: list[Pair] | list[int] | None
@@ -150,7 +150,7 @@ class RootPlan:
 
     def enumerator(self) -> Enumerator:
         """A fresh enumerator to run root branches of this plan on."""
-        return Enumerator(self.adj, et_t=self.config.et_t, blocked=self.blocked)
+        return Enumerator(self.adj, et_t=self.config.et_t)
 
 
 def plan_roots(g: LocalGraph, cfg: MceConfig) -> RootPlan:
@@ -196,8 +196,10 @@ def run_roots(enum: Enumerator, plan: RootPlan, branch_ids: Iterable[int]) -> No
     in any order) of ``plan`` on ``enum`` (made by ``plan.enumerator``),
     adding their cliques and counters to ``enum``. One sweep of
     ``plan.order`` up to the largest wanted id serves edge and vertex roots
-    alike. Raises Python's recursion limit to what the plan's deepest branch
-    can need."""
+    alike. The kernels emit every maximal clique of the core; this call
+    then drops GR's blocked pairs from what they added and counts the rest
+    in ``enum.stats.cliques``. Raises Python's recursion limit to what the
+    plan's deepest branch can need."""
     cfg = plan.config
     kernel = kernel_fn(enum, cfg.kernel)
     adj = plan.adj
@@ -212,38 +214,44 @@ def run_roots(enum: Enumerator, plan: RootPlan, branch_ids: Iterable[int]) -> No
     needed = 3 * (max_deg + min(cfg.d, max_deg + 2) + 2) + max_deg + 1000
     sys.setrecursionlimit(max(sys.getrecursionlimit(), needed))
     wanted = set(branch_ids)
-    if not wanted:
-        return
+    out = enum.out
+    start = len(out)
     if plan.order is None:
-        kernel([], set(adj), set())
-        return
-    # Only edge levels below d sort their compat edges by rank.
-    rank = {e: i for i, e in enumerate(plan.order)} if cfg.d > 1 else None
-    vertex_roots = cfg.root == "degeneracy"
-    # Sweep the order, deleting each root once it is passed: at root i, rem
-    # holds exactly the graph of the roots after i, and it does not change
-    # while root i runs. Every vertex is a candidate of the initial branch
-    # and none is excluded, so a root's X is every other G-neighbour of its
-    # vertices that the root's C leaves out.
-    rem = {v: set(nbrs) for v, nbrs in adj.items()}
-    for i, root in enumerate(plan.order[: max(wanted) + 1]):
-        if vertex_roots:
-            # C = the later neighbours of v.
-            C = rem.pop(root)
-            for u in C:
-                rem[u].discard(root)
+        if wanted:
+            kernel([], set(adj), set())
+    else:
+        # Only edge levels below d sort their compat edges by rank.
+        rank = {e: i for i, e in enumerate(plan.order)} if cfg.d > 1 else None
+        vertex_roots = cfg.root == "degeneracy"
+        # Sweep the order, deleting each root once it is passed: at root i,
+        # rem holds exactly the graph of the roots after i, and it does not
+        # change while root i runs. Every vertex is a candidate of the
+        # initial branch and none is excluded, so a root's X is every other
+        # G-neighbour of its vertices that the root's C leaves out.
+        rem = {v: set(nbrs) for v, nbrs in adj.items()}
+        for i, root in enumerate(plan.order[: max(wanted, default=-1) + 1]):
+            if vertex_roots:
+                # C = the later neighbours of v.
+                C = rem.pop(root)
+                for u in C:
+                    rem[u].discard(root)
+                if i in wanted:
+                    kernel([root], C, adj[root] - C)
+                continue
+            # C' = the common neighbours of a and b over edges ranked after
+            # (a, b): rem is the root's compat adjacency.
+            a, b = root
+            rem_a, rem_b = rem[a], rem[b]
+            rem_a.discard(b)
+            rem_b.discard(a)
             if i in wanted:
-                kernel([root], C, adj[root] - C)
-            continue
-        # C' = the common neighbours of a and b over edges ranked after
-        # (a, b): rem is the root's compat adjacency.
-        a, b = root
-        rem_a, rem_b = rem[a], rem[b]
-        rem_a.discard(b)
-        rem_b.discard(a)
-        if i in wanted:
-            C2 = rem_a & rem_b
-            _ebb(enum, [a, b], C2, (adj[a] & adj[b]) - C2, rem, rank, 1, cfg.d, kernel)
+                C2 = rem_a & rem_b
+                _ebb(enum, [a, b], C2, (adj[a] & adj[b]) - C2, rem, rank, 1, cfg.d, kernel)
+    if plan.blocked:
+        # A blocked pair is not maximal in G (DESIGN.md §3, "GR blocked sets").
+        blocked = plan.blocked
+        out[start:] = [c for c in out[start:] if c not in blocked]
+    enum.stats.cliques += len(out) - start
 
 
 def _ebb(

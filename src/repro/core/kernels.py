@@ -46,10 +46,7 @@ only in the rare branches that pass the degree test).
 
 ET emission costs what it outputs (``repro.core.early_term``): the
 branch's cliques come from ``enumerate_tplex`` as sorted tuples, S
-included, and are appended to ``out`` in one batch, and ``stats.cliques``
-grows by the batch size. The one exception: when |S| + |F| + #components
-<= 2 a clique can have two vertices and so be a GR-blocked pair, and those
-branches go through ``emit`` one clique at a time.
+included, and are appended to ``out`` in one batch.
 """
 from __future__ import annotations
 
@@ -66,16 +63,9 @@ class Enumerator:
     recurse on branch triples. One instance per MCE run (or per Spark
     task)."""
 
-    def __init__(
-        self,
-        adj: dict[int, set[int]],
-        *,
-        et_t: int = 0,
-        blocked: set[frozenset[int]] | None = None,
-    ):
+    def __init__(self, adj: dict[int, set[int]], *, et_t: int = 0):
         self.adj = adj
         self.et_t = et_t
-        self.blocked = blocked or set()
         self.stats = BranchStats()
         self.out: list[tuple[int, ...]] = []
         # Compat adjacency of the enclosing edge-oriented branch (None outside
@@ -85,14 +75,8 @@ class Enumerator:
     # -- emission ---------------------------------------------------------
     def emit(self, clique: Iterable[int]) -> None:
         c = tuple(sorted(clique))
-        if not c:
-            return
-        if len(c) == 2 and frozenset(c) in self.blocked:
-            # Non-maximal against a vertex peeled by graph reduction
-            # (DESIGN.md §3, "GR blocked sets").
-            return
-        self.stats.cliques += 1
-        self.out.append(c)
+        if c:
+            self.out.append(c)
 
     # -- helpers -----------------------------------------------------------
     def _enter(self, S: list[int], C: set[int], X: set[int]) -> bool:
@@ -159,15 +143,7 @@ class Enumerator:
             return False
         st.et_applied += 1
         F, comps = inverse_components(C, nbr_in_c)
-        if len(S) + len(F) + len(comps) <= 2:
-            # A clique of size <= 2 may be a GR-blocked pair: emit filters it.
-            for clique in enumerate_tplex(S, F, comps):
-                self.emit(clique)
-        else:
-            out = self.out
-            n = len(out)
-            out.extend(enumerate_tplex(S, F, comps))
-            st.cliques += len(out) - n
+        self.out.extend(enumerate_tplex(S, F, comps))
         return True
 
     # -- branching ---------------------------------------------------------
@@ -238,8 +214,8 @@ class Enumerator:
                     self.emit(S + list(Cc))
                 return
             self._branch_on(S, Cc, Xc, min_v, self.vbb_rcd)
-        # All candidates branched away: S itself is blocked by Xc (which now
-        # contains at least the last v), so nothing to emit.
+        # All candidates branched away: Xc (which now contains at least the
+        # last v) extends S, so S is not maximal and nothing is emitted.
 
     # -- kernel: fac (adaptive cheap pivot) --------------------------------
     def vbb_fac(self, S: list[int], C: set[int], X: set[int]) -> None:

@@ -30,12 +30,14 @@ has w as a phantom blocker and must never be emitted by the later
 branch-and-bound run on the core. Every core vertex has at least three core
 neighbours, so the search on the core never emits a 1-clique, and the only
 such cliques it can reach are the pairs ``{a, b}`` of each removed w with
-R(w) = {a, b}, both in the core and adjacent: the core's blocked sets.
-``Enumerator.emit`` filters every 2-clique against them. A phantom blocker
-of a size >= 3 clique would have had degree >= 3 at its removal time —
-impossible here — so pair filtering is exact. Every removed w still has
-all of N(w) ∩ core when it goes, so these pairs are the same for every
-valid peel order, as are the removed set, the core and the clique set.
+R(w) = {a, b}, both in the core and adjacent: the core's blocked pairs,
+each stored as the sorted tuple the search would emit it as.
+``repro.core.hbbmc.run_roots`` drops them from the search's output. A
+phantom blocker of a size >= 3 clique would have had degree >= 3 at its
+removal time — impossible here — so pair filtering is exact. Every
+removed w still has all of N(w) ∩ core when it goes, so these pairs are the
+same for every valid peel order, as are the removed set, the core and the
+clique set.
 
 Only the core's adjacency sets are ever built: the reduced graph keeps its
 canonical arrays, and its ``adj`` is built from them on first use.
@@ -54,7 +56,7 @@ from .ordering import peel
 class Reduction:
     reduced: LocalGraph  # the 3-core of g: every vertex has degree >= 3
     cliques: list[tuple[int, ...]]
-    blocked: set[frozenset[int]]  # the core's blocked pairs
+    blocked: set[tuple[int, int]]  # the core's blocked pairs, each sorted
     removed: int
 
 
@@ -96,7 +98,7 @@ def reduce_graph(g: LocalGraph) -> Reduction:
         *zip(ids[lo[pair]].tolist(), ids[hi[pair]].tolist()),
     ]
     both = core[tp] & core[tq]
-    blocked = set(map(frozenset, zip(ids[tp[both]].tolist(), ids[tq[both]].tolist())))
+    blocked = set(zip(ids[tp[both]].tolist(), ids[tq[both]].tolist()))
     # The core keeps its canonical arrays, re-indexed; (eu, ev) order holds.
     new = np.cumsum(core) - 1
     kept = ~touched

@@ -11,7 +11,8 @@ These back the quantities reported in the paper's tables:
                    Table V's Ratio column).
 - ``et_applied`` — branches early-terminated (t-plex *and* empty exclusion
                    graph, the ``b0`` of Table V).
-- ``cliques``    — maximal cliques emitted.
+- ``cliques``    — maximal cliques the root branches emit, GR's blocked
+                   pairs dropped; counted by ``repro.core.hbbmc.run_roots``.
 - ``root_branches`` — branches created at the initial branch (m edge branches
                    for HBBMC/EBBMC, n vertex branches for VBBMC).
 """

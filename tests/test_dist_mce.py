@@ -21,7 +21,7 @@ from repro.graphs.datasets import load_edges, load_local
 from repro.graphs.edgelist import edges_df
 from repro.graphs.generators import social_edges, to_local
 from tests.oracles import er_edges, reference_mce
-from tests.test_reduction import STAR, TREE
+from tests.test_reduction import HEXAGON_EARS, STAR, TREE
 
 
 def _dist_cliques(res):
@@ -48,9 +48,10 @@ def test_distributed_matches_local(spark, social_pair, alg):
 
 
 #: Degenerate inputs as edge arrays. GR consumes every one of them but the
-#: last, which puts vertex ids near 10**12 through the search. An edge
-#: DataFrame carries no vertex list, so isolated vertices reach both paths
-#: only as self-loop rows, which both drop.
+#: last two: ``huge_ids`` puts vertex ids near 10**12 through the search,
+#: and ``hexagon_ears`` has GR-blocked pairs that the core's search emits.
+#: An edge DataFrame carries no vertex list, so isolated vertices reach both
+#: paths only as self-loop rows, which both drop.
 DEGENERATE = {
     "empty": np.zeros((0, 2), dtype=np.int64),
     "self_loops_only": np.array([(v, v) for v in range(5)]),
@@ -60,6 +61,7 @@ DEGENERATE = {
     "star": STAR,
     "tree": TREE,
     "huge_ids": social_edges(30, 3, 2, caves=(2, 6, 2)) + 10**12,
+    "hexagon_ears": HEXAGON_EARS,
 }
 
 

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.hbbmc import ALGORITHMS, plan_roots, resolve_config, run_named, run_roots
-from repro.core.kernels import Enumerator
+from repro.core.hbbmc import ALGORITHMS, RootPlan, plan_roots, resolve_config, run_named, run_roots
 from repro.core.localgraph import LocalGraph
 from repro.core.ordering import EDGE_ORDERS, truss_peel
 from repro.core.reduction import reduce_graph
@@ -21,7 +20,7 @@ from repro.core.stats import BranchStats
 from repro.graphs.datasets import DATASET_NAMES, load_local
 from repro.graphs.generators import ba_edges, powerlaw_cluster_edges, social_edges, to_local
 from tests.oracles import caveman_edges, er_edges, reference_mce, verify_cliques
-from tests.test_reduction import tail_graph
+from tests.test_reduction import HEXAGON_EARS, tail_graph
 
 #: An edge-oriented depth no branch reaches: the hybrid then never hands a
 #: branch to the vertex kernel, which is pure EBBMC.
@@ -171,9 +170,9 @@ ET_CONFIGS = [(name, t) for name in sorted(ALGORITHMS) for t in (1, 2, 3)]
 
 @pytest.mark.parametrize("dataset", DATASET_NAMES + ["tail"])
 def test_clique_counter_matches_cliques(dataset):
-    """ET adds its batch size to ``stats.cliques``, emit one per clique and
-    GR its own count: together they must count exactly the cliques a run
-    builds."""
+    """``run_roots`` counts the cliques the root branches add, GR's blocked
+    pairs dropped, and the plan counts GR's own: together they must count
+    exactly the cliques a run builds."""
     g = tail_graph() if dataset == "tail" else load_local(dataset, "test")
     for name, t in ET_CONFIGS:
         r = run_named(g, name, et_t=t)
@@ -181,14 +180,10 @@ def test_clique_counter_matches_cliques(dataset):
 
 
 def test_filters_gr_blocked_et_cliques():
-    """K6 minus the 6-cycle 0-1-2-3-4-5, plus one degree-2 vertex on each
-    of its 2-cliques {0,3}, {1,4}, {2,5}. GR emits the three triangles and
-    blocks those pairs. In the core, each vertex branch S = [v] with empty
+    """``HEXAGON_EARS``: in the core, each vertex branch S = [v] with empty
     X is a 3-plex whose ET output includes {v, v+3}, and every run that
     reaches ET must drop that blocked pair."""
-    hexagon = [(i, j) for i in range(6) for j in range(i + 1, 6) if (j - i) % 6 not in (1, 5)]
-    ears = [(u, a) for u, pair in zip((6, 7, 8), ((0, 3), (1, 4), (2, 5))) for a in pair]
-    g = LocalGraph.from_edges(hexagon + ears)
+    g = to_local(HEXAGON_EARS)
     expected = reference_mce(g)
     assert expected == [(0, 2, 4), (0, 3, 6), (1, 3, 5), (1, 4, 7), (2, 5, 8)]
     for name, t in ET_CONFIGS:
@@ -198,14 +193,23 @@ def test_filters_gr_blocked_et_cliques():
 
 
 def test_filters_blocked_pair_of_vertex_root():
-    """Vertex root S = [v] with C two non-adjacent vertices: ET emits two
-    2-cliques, one of them GR-blocked, so one clique is built and counted."""
-    adj = {0: {1, 2}, 1: {0}, 2: {0}}
-    enum = Enumerator(adj, et_t=3, blocked={frozenset((0, 1))})
-    enum.vbb_tomita([0], {1, 2}, set())
+    """Vertex root 0 with C its two non-adjacent neighbours: ET emits two
+    2-cliques, and ``run_roots`` drops the GR-blocked one, so one clique is
+    kept and counted."""
+    plan = RootPlan(
+        config=resolve_config("VBBMC-dgn", {}),
+        adj={0: {1, 2}, 1: {0}, 2: {0}},
+        blocked={(0, 1)},
+        order=[0, 1, 2],
+        costs=[2, 0, 0],
+        cliques=[],
+        stats=BranchStats(),
+    )
+    enum = plan.enumerator()
+    run_roots(enum, plan, [0])
     assert enum.stats.et_applied == 1
-    assert enum.stats.cliques == 1
     assert enum.out == [(0, 2)]
+    assert enum.stats.cliques == 1
 
 
 def test_branch_bound_tau_respected():
@@ -328,24 +332,26 @@ def test_vertex_root_costs_are_later_neighbour_counts(dataset):
 def test_run_roots_split_invariance(name, overrides, k):
     """Root branches dealt into k random groups, each shuffled and run on
     its own enumerator (the Spark task layout), add up to one run over all
-    of them; an empty group adds nothing."""
-    plan = plan_roots(load_local("OR", "test"), resolve_config(name, overrides))
-    ids = range(len(plan.costs))
-    whole = plan.enumerator()
-    run_roots(whole, plan, ids)
-    rng = random.Random(k)
-    groups = [[] for _ in range(k)]
-    for bid in ids:
-        groups[rng.randrange(k)].append(bid)
-    stats, cliques = BranchStats(), []
-    for group in groups + [[]]:
-        rng.shuffle(group)
-        enum = plan.enumerator()
-        run_roots(enum, plan, group)
-        stats.merge(enum.stats)
-        cliques += enum.out
-    assert sorted(cliques) == sorted(whole.out)
-    assert stats.as_dict() == whole.stats.as_dict()
+    of them; an empty group adds nothing. OR has no GR-blocked pair; the
+    tail graph's core search emits some, so each group drops its own."""
+    for g in (load_local("OR", "test"), tail_graph()):
+        plan = plan_roots(g, resolve_config(name, overrides))
+        ids = range(len(plan.costs))
+        whole = plan.enumerator()
+        run_roots(whole, plan, ids)
+        rng = random.Random(k)
+        groups = [[] for _ in range(k)]
+        for bid in ids:
+            groups[rng.randrange(k)].append(bid)
+        stats, cliques = BranchStats(), []
+        for group in groups + [[]]:
+            rng.shuffle(group)
+            enum = plan.enumerator()
+            run_roots(enum, plan, group)
+            stats.merge(enum.stats)
+            cliques += enum.out
+        assert sorted(cliques) == sorted(whole.out)
+        assert stats.as_dict() == whole.stats.as_dict()
 
 
 def _fresh_python(code: str) -> str:
