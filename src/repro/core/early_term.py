@@ -13,12 +13,13 @@ where F is the set of inverse-isolated (universal) vertices — combined by
 cross product (lines 5-8 of Algorithm 8). The branch therefore has exactly
 prod(len(table) for each component) maximal cliques.
 
-Cost follows output: ``inverse_components`` reads the inverse graph off the
-``C ∩ N(v)`` sets the kernel already has, the MIS index tables of a path or
-cycle are built once per length (``path_mis``/``cycle_mis`` are cached), and
-``enumerate_tplex`` builds each clique tuple once, with S merged in, and
-sorts it once. The kernels (``repro.core.kernels``) detect the t-plex
-condition and append the cliques to their output in one batch.
+Cost follows output: ``enumerate_tplex`` is the whole ET step. Its
+``inverse_components`` reads the inverse graph off the ``C ∩ N(v)`` sets the
+kernel already has, the MIS index tables of a path or cycle are built once
+per length (``path_mis``/``cycle_mis`` are cached), and each clique tuple is
+built once, with S merged in, and sorted once. The kernels
+(``repro.core.kernels``) detect the t-plex condition and append the cliques
+to their output in one batch.
 """
 from __future__ import annotations
 
@@ -122,12 +123,15 @@ def _walk(v: int, nonadj: dict[int, set[int]]) -> list[int]:
 
 
 def enumerate_tplex(
-    S: Sequence[int], F: Sequence[int], comps: list[tuple[list[int], MisTable]]
+    S: Sequence[int], C: set[int], nbr_in_c: dict[int, set[int]]
 ) -> list[tuple[int, ...]]:
     """Every maximal clique ``S ∪ F ∪ (one MIS per component)`` of a t-plex
-    branch (Algorithm 8), as sorted tuples; ``F`` and ``comps`` come from
-    ``inverse_components``. There are exactly prod(len(table)) of them, the
-    paper's "nearly optimal" output bound; each is built and sorted once."""
+    branch with candidates ``C`` (``nbr_in_c``: v -> C ∩ N(v)) and an empty
+    exclusion graph (Algorithm 8), as sorted tuples; ``F`` and the
+    components come from ``inverse_components``. There are exactly
+    prod(len(table)) of them, the paper's "nearly optimal" output bound;
+    each is built and sorted once."""
+    F, comps = inverse_components(C, nbr_in_c)
     cliques = [(*S, *F)]
     for verts, table in comps:
         choices = [tuple([verts[i] for i in mis]) for mis in table]

@@ -50,7 +50,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .kernels import KERNELS, Enumerator, kernel_fn
+from .kernels import KERNELS, Enumerator
 from .localgraph import LocalGraph
 from .ordering import EDGE_ORDERS, Pair, degeneracy_order, edge_order_rank
 from .reduction import reduce_graph
@@ -130,12 +130,14 @@ def resolve_config(name: str, overrides: dict) -> MceConfig:
 
 @dataclass
 class RootPlan:
-    """The initial branch of one run, computed once by ``plan_roots``.
+    """The initial branch of one run, as its root branches read it:
+    computed once by ``plan_roots``, and all a Spark task receives.
 
-    Every maximal clique is either in ``cliques`` or found by exactly one
-    root branch, so any partition of the branch ids can run anywhere
-    (``run_roots``) and the cliques and counters simply add up. A branch id
-    is the root's position in ``order``, or 0 for the global root.
+    Every maximal clique is either one of GR's (``plan_roots`` returns them
+    beside the plan) or found by exactly one root branch, so any partition
+    of the branch ids can run anywhere (``run_roots``) and the cliques and
+    counters simply add up. A branch id is the root's position in
+    ``order``, or 0 for the global root.
     """
 
     config: MceConfig
@@ -145,17 +147,15 @@ class RootPlan:
     # in degeneracy order (degeneracy root), or None (global root).
     order: list[Pair] | list[int] | None
     costs: list[int]  # costs[i]: balance cost of branch i
-    cliques: list[tuple[int, ...]]  # GR's, found while planning
-    stats: BranchStats  # counters of the planning itself
-
-    def enumerator(self) -> Enumerator:
-        """A fresh enumerator to run root branches of this plan on."""
-        return Enumerator(self.adj, et_t=self.config.et_t)
 
 
-def plan_roots(g: LocalGraph, cfg: MceConfig) -> RootPlan:
+def plan_roots(
+    g: LocalGraph, cfg: MceConfig
+) -> tuple[RootPlan, list[tuple[int, ...]], BranchStats]:
     """GR, the ordering peel of its core and the root-branch list of
-    ``cfg`` on ``g``.
+    ``cfg`` on ``g``. Returns the plan and the driver's own share of the
+    run, which no root reads and the caller adds once: GR's cliques and the
+    counters of the planning.
 
     The balance cost of a branch estimates its work: the smaller endpoint
     degree of an edge branch, the number of later neighbours of a degeneracy
@@ -180,29 +180,24 @@ def plan_roots(g: LocalGraph, cfg: MceConfig) -> RootPlan:
         # branch: GR leaves no vertex of degree below 3.
         stats.calls = 1
     stats.root_branches = len(costs)
-    return RootPlan(
-        config=cfg,
-        adj=adj,
-        blocked=red.blocked,
-        order=order,
-        costs=costs,
-        cliques=red.cliques,
-        stats=stats,
-    )
+    plan = RootPlan(config=cfg, adj=adj, blocked=red.blocked, order=order, costs=costs)
+    return plan, red.cliques, stats
 
 
-def run_roots(enum: Enumerator, plan: RootPlan, branch_ids: Iterable[int]) -> None:
+def run_roots(
+    plan: RootPlan, branch_ids: Iterable[int]
+) -> tuple[list[tuple[int, ...]], BranchStats]:
     """Run the root branches ``branch_ids`` (any subset of the plan's ids,
-    in any order) of ``plan`` on ``enum`` (made by ``plan.enumerator``),
-    adding their cliques and counters to ``enum``. One sweep of
-    ``plan.order`` up to the largest wanted id serves edge and vertex roots
-    alike. The kernels emit every maximal clique of the core; this call
-    then drops GR's blocked pairs from what they added and counts the rest
-    in ``enum.stats.cliques``. Raises Python's recursion limit to what the
-    plan's deepest branch can need."""
+    in any order) of ``plan`` on a fresh ``Enumerator``, and return their
+    maximal cliques and counters. One sweep of ``plan.order`` up to the
+    largest wanted id serves edge and vertex roots alike. The kernels emit
+    every maximal clique of the core; this call then drops GR's blocked
+    pairs from them and counts the rest in ``stats.cliques``. Raises
+    Python's recursion limit to what the plan's deepest branch can need."""
     cfg = plan.config
-    kernel = kernel_fn(enum, cfg.kernel)
     adj = plan.adj
+    enum = Enumerator(adj, et_t=cfg.et_t)
+    kernel = getattr(enum, KERNELS[cfg.kernel])
     # A kernel level costs at most 3 frames (kernel -> _pivot_branch ->
     # _branch_on -> kernel) and an edge level 1; each adds at least one
     # vertex to the clique S, so a root branch nests at most omega + d + 1 <=
@@ -214,8 +209,6 @@ def run_roots(enum: Enumerator, plan: RootPlan, branch_ids: Iterable[int]) -> No
     needed = 3 * (max_deg + min(cfg.d, max_deg + 2) + 2) + max_deg + 1000
     sys.setrecursionlimit(max(sys.getrecursionlimit(), needed))
     wanted = set(branch_ids)
-    out = enum.out
-    start = len(out)
     if plan.order is None:
         if wanted:
             kernel([], set(adj), set())
@@ -247,11 +240,13 @@ def run_roots(enum: Enumerator, plan: RootPlan, branch_ids: Iterable[int]) -> No
             if i in wanted:
                 C2 = rem_a & rem_b
                 _ebb(enum, [a, b], C2, (adj[a] & adj[b]) - C2, rem, rank, 1, cfg.d, kernel)
+    out = enum.out
     if plan.blocked:
         # A blocked pair is not maximal in G (DESIGN.md §3, "GR blocked sets").
         blocked = plan.blocked
-        out[start:] = [c for c in out[start:] if c not in blocked]
-    enum.stats.cliques += len(out) - start
+        out = [c for c in out if c not in blocked]
+    enum.stats.cliques = len(out)
+    return out, enum.stats
 
 
 def _ebb(
@@ -285,10 +280,8 @@ def _ebb(
     if depth >= d:
         # Hand over to the vertex-oriented kernel under this branch's compat
         # adjacency (dual adjacency; see repro.core.kernels docstring).
-        old_cadj = enum.cadj
         enum.cadj = cadj
         kernel(S, C, X)
-        enum.cadj = old_cadj
         return
     enum.stats.calls += 1
     live = {u: C & cadj[u] for u in C}
@@ -339,9 +332,8 @@ def run_named(g: LocalGraph, name: str, **overrides) -> MceRun:
     process, building every clique."""
     cfg = resolve_config(name, overrides)
     t0 = time.perf_counter()
-    plan = plan_roots(g, cfg)
-    enum = plan.enumerator()
-    run_roots(enum, plan, range(len(plan.costs)))
-    enum.stats.merge(plan.stats)
+    plan, cliques, stats = plan_roots(g, cfg)
+    out, root_stats = run_roots(plan, range(len(plan.costs)))
+    stats.merge(root_stats)
     seconds = time.perf_counter() - t0
-    return MceRun(cliques=sorted(enum.out + plan.cliques), stats=enum.stats, seconds=seconds)
+    return MceRun(cliques=sorted(out + cliques), stats=stats, seconds=seconds)

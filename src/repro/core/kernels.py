@@ -29,8 +29,8 @@ candidates may only be *jointly included* if their edge is ordered after the
 edge that created the branch — that is what attributes each maximal clique
 to exactly one root branch (the one of its rank-minimal edge). The branch's
 *compat adjacency* ``self.cadj`` (v -> the vertices v may be jointly included
-with) holds exactly those edges; ``repro.core.hbbmc`` sets it around the
-kernel call. When the kernel branches on ``w``, candidates G-adjacent to
+with) holds exactly those edges; ``repro.core.hbbmc`` sets it right before
+the kernel call. When the kernel branches on ``w``, candidates G-adjacent to
 ``w`` but not compat with it ("ghosts") drop into X: they still block
 maximality, but the clique containing both belongs to an earlier root
 branch. Pivot selection and X-blocking always use plain G-adjacency (if a
@@ -44,15 +44,16 @@ restricted to C (necessary, cheap, uses the degree scan the pivot needs
 anyway) plus ghost-freedom of C (verified by a subset test per candidate
 only in the rare branches that pass the degree test).
 
-ET emission costs what it outputs (``repro.core.early_term``): the
-branch's cliques come from ``enumerate_tplex`` as sorted tuples, S
-included, and are appended to ``out`` in one batch.
+ET emission costs what it outputs (``repro.core.early_term``): one
+``enumerate_tplex`` call decomposes the branch's inverse graph and returns
+its cliques as sorted tuples, S included, which are appended to ``out`` in
+one batch.
 """
 from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .early_term import enumerate_tplex, inverse_components
+from .early_term import enumerate_tplex
 from .stats import BranchStats
 
 Kernel = Callable[[list[int], set[int], set[int]], None]
@@ -60,8 +61,12 @@ Kernel = Callable[[list[int], set[int], set[int]], None]
 
 class Enumerator:
     """Holds the (reduced) graph, ET config and counters; the kernel methods
-    recurse on branch triples. One instance per MCE run (or per Spark
-    task)."""
+    recurse on branch triples. ``repro.core.hbbmc.run_roots`` makes one per
+    call, so an instance serves the roots of one kind: a kernel is entered
+    either right after ``_ebb`` has set ``cadj`` to the handing-over edge
+    branch's compat adjacency, or by a vertex or global root, under which
+    ``cadj`` is never set. So ``cadj`` needs no restoring when a kernel
+    returns."""
 
     def __init__(self, adj: dict[int, set[int]], *, et_t: int = 0):
         self.adj = adj
@@ -69,7 +74,7 @@ class Enumerator:
         self.stats = BranchStats()
         self.out: list[tuple[int, ...]] = []
         # Compat adjacency of the enclosing edge-oriented branch (None outside
-        # one); set/restored by repro.core.hbbmc._ebb around kernel calls.
+        # one); set by repro.core.hbbmc._ebb before each hand-off to a kernel.
         self.cadj: dict[int, set[int]] | None = None
 
     # -- emission ---------------------------------------------------------
@@ -142,8 +147,7 @@ class Enumerator:
         if not self._ghost_free(C, nbr_in_c):
             return False
         st.et_applied += 1
-        F, comps = inverse_components(C, nbr_in_c)
-        self.out.extend(enumerate_tplex(S, F, comps))
+        self.out.extend(enumerate_tplex(S, C, nbr_in_c))
         return True
 
     # -- branching ---------------------------------------------------------
@@ -241,11 +245,3 @@ KERNELS: dict[str, str] = {
     "rcd": "vbb_rcd",
     "fac": "vbb_fac",
 }
-
-
-def kernel_fn(enum: Enumerator, name: str):
-    """Resolve a kernel name to the bound method of ``enum``."""
-    try:
-        return getattr(enum, KERNELS[name])
-    except KeyError:
-        raise ValueError(f"unknown kernel {name!r}; one of {sorted(KERNELS)}") from None

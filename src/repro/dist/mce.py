@@ -8,30 +8,32 @@ Xu et al. [17]):
    as self-loops), and calls ``repro.core.hbbmc.plan_roots``: graph
    reduction (GR), the exact ordering peel of the config's ``root`` (an
    edge order for the hybrid framework, the degeneracy order for the vertex
-   framework), the balance cost of each root branch, and GR's cliques.
+   framework) and the balance cost of each root branch. It returns the
+   plan, which holds only what a root branch reads, and beside it the
+   driver's own share: GR's cliques and the planning's counters.
 2. The driver deals the root branch ids round-robin, in descending order of
    balance cost, into one group per task, so every task gets a balanced mix
    of heavy and light branches. There is one task per slot of the session
    (``defaultParallelism``) unless ``num_partitions`` says otherwise, and
-   never more tasks than branches. The plan, without the cliques and
-   counters of the planning (no task reads them), and the groups are
-   broadcast once.
+   never more tasks than branches. The plan and the groups are broadcast
+   once, as they are.
 3. ``spark.range(n_tasks, numPartitions=n_tasks).mapInPandas`` runs task
    ``t`` over group ``t``: it calls ``repro.core.hbbmc.run_roots`` once on
    the group's branch ids — the same executor the local runner calls once on
    every id; it sweeps the plan's root order (edges or vertices) up to the
-   group's largest id — emits one ``(clique, size)`` row per maximal clique
-   (the clique as comma-joined vertex ids, a string, so results stay
-   orderable/joinable), and adds its ``BranchStats`` to a per-call
-   accumulator. The job runs no shuffle at all, so adaptive query execution
-   cannot coalesce the tasks into fewer partitions. Each task ends by
+   group's largest id and returns the group's cliques and counters — emits
+   one ``(clique, size)`` row per maximal clique (the clique as comma-joined
+   vertex ids, a string, so results stay orderable/joinable), and adds the
+   counters to a per-call accumulator. The job runs no shuffle at all, so
+   adaptive query execution cannot coalesce the tasks into fewer
+   partitions. Each task ends by
    dropping the zip finders from ``sys.path_importer_cache``
    (``_drop_zip_finders``): PySpark calls ``importlib.invalidate_caches()``
    before every task, and on CPython 3.11 and 3.12 each cached
    ``zipimporter`` then re-reads its whole archive, about 0.25 s of CPU per
    task on a warm worker before any MCE code runs.
 4. The stage runs once, in the one job of ``localCheckpoint(eager=True)``,
-   and that checkpointed DataFrame is the clique DataFrame (with the plan's
+   and that checkpointed DataFrame is the clique DataFrame (with GR's
    cliques unioned in when there are any), so reading the result re-runs
    no kernel. The broadcast is destroyed as soon as the checkpoint returns.
    The counters are exact: the checkpoint job is a single result stage with
@@ -39,7 +41,7 @@ Xu et al. [17]):
    only for the first successful attempt of each partition, and the values
    of failed attempts of a Python accumulator are not counted. So
    ``acc.value``, read after the job, holds each task's counters once; the
-   driver adds the plan's own and returns them with the clique DataFrame.
+   driver adds the planning's own and returns them with the clique DataFrame.
 
 Every ``ALGORITHMS`` name runs through this path; ``tests/test_dist_mce.py``
 asserts that the distributed clique set and counters are identical to the
@@ -50,7 +52,7 @@ from __future__ import annotations
 import sys
 import zipimport
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pandas as pd
 from pyspark.accumulators import AccumulatorParam, _accumulatorRegistry
@@ -133,7 +135,7 @@ def mce_distributed(
     ):
         raise ValueError(f"num_partitions must be None or an int >= 1, got {num_partitions!r}")
     cfg = resolve_config(algorithm, overrides)  # a bad config fails before the collect
-    plan = plan_roots(to_local(edges), cfg)
+    plan, gr_cliques, stats = plan_roots(to_local(edges), cfg)
 
     sc = spark.sparkContext
     n_tasks = num_partitions or sc.defaultParallelism
@@ -142,19 +144,16 @@ def mce_distributed(
     # Deal round-robin by descending balance cost.
     ordered = sorted(range(len(costs)), key=lambda i: (-costs[i], i))
     groups = [sorted(ordered[t::n_tasks]) for t in range(n_tasks)]
-    # Tasks read neither the planner's cliques nor its counters.
-    shipped = replace(plan, cliques=[], stats=BranchStats())
-    bc = sc.broadcast((shipped, groups))
+    bc = sc.broadcast((plan, groups))
     acc = sc.accumulator(BranchStats(), _StatsParam())
 
     def run_tasks(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         plan, groups = bc.value
         for batch in batches:
             for t in batch["id"].tolist():
-                enum = plan.enumerator()
-                run_roots(enum, plan, groups[t])
-                acc.add(enum.stats)
-                yield _clique_frame(enum.out)
+                out, st = run_roots(plan, groups[t])
+                acc.add(st)
+                yield _clique_frame(out)
         _drop_zip_finders()
 
     # The eager checkpoint is the one job that runs the kernels; its output
@@ -167,12 +166,11 @@ def mce_distributed(
         )
     finally:
         bc.destroy()
-    if plan.cliques:
+    if gr_cliques:
         # From pandas, not a Python list: with Arrow on, the rows travel as
         # one Arrow batch instead of a pickled PythonRDD.
-        driver_df = spark.createDataFrame(_clique_frame(plan.cliques), _CLIQUE_SCHEMA)
+        driver_df = spark.createDataFrame(_clique_frame(gr_cliques), _CLIQUE_SCHEMA)
         cliques_df = cliques_df.unionAll(driver_df)
-    stats = plan.stats
     stats.merge(acc.value)
     # PySpark's private driver-side registry keeps every accumulator until
     # the session stops; the checkpoint job has merged all of this one's

@@ -24,8 +24,7 @@ def nbr_in_c_of(nonadj: dict[int, list[int]]) -> tuple[set[int], dict[int, set[i
 
 
 def tplex_cliques(nonadj, S=()) -> list[tuple[int, ...]]:
-    F, comps = inverse_components(*nbr_in_c_of(nonadj))
-    return enumerate_tplex(list(S), F, comps)
+    return enumerate_tplex(list(S), *nbr_in_c_of(nonadj))
 
 
 def brute_mis(nbrs: dict[int, set[int]], verts) -> list[list[int]]:
@@ -158,7 +157,7 @@ def test_tplex_output_count_is_product_of_components():
         11: [], 12: [],
     }
     F, comps = inverse_components(*nbr_in_c_of(nonadj))
-    out = enumerate_tplex([], F, comps)
+    out = tplex_cliques(nonadj)
     assert len(out) == len(path_mis(5)) * len(cycle_mis(6))
     assert len(out) == prod(len(table) for _, table in comps)
     assert all(11 in c and 12 in c for c in out)

@@ -202,14 +202,11 @@ def test_filters_blocked_pair_of_vertex_root():
         blocked={(0, 1)},
         order=[0, 1, 2],
         costs=[2, 0, 0],
-        cliques=[],
-        stats=BranchStats(),
     )
-    enum = plan.enumerator()
-    run_roots(enum, plan, [0])
-    assert enum.stats.et_applied == 1
-    assert enum.out == [(0, 2)]
-    assert enum.stats.cliques == 1
+    out, stats = run_roots(plan, [0])
+    assert stats.et_applied == 1
+    assert out == [(0, 2)]
+    assert stats.cliques == 1
 
 
 def test_branch_bound_tau_respected():
@@ -322,7 +319,7 @@ SPLIT_CONFIGS = [
 def test_vertex_root_costs_are_later_neighbour_counts(dataset):
     """A vertex root's balance cost, read off the degeneracy peel, is its
     number of neighbours after it in the order."""
-    plan = plan_roots(load_local(dataset, "test"), resolve_config("RDegen", {}))
+    plan, _, _ = plan_roots(load_local(dataset, "test"), resolve_config("RDegen", {}))
     pos = {v: i for i, v in enumerate(plan.order)}
     assert plan.costs == [sum(1 for u in plan.adj[v] if pos[u] > i) for i, v in enumerate(plan.order)]
 
@@ -330,15 +327,15 @@ def test_vertex_root_costs_are_later_neighbour_counts(dataset):
 @pytest.mark.parametrize("k", [1, 3, 7])
 @pytest.mark.parametrize("name,overrides", SPLIT_CONFIGS)
 def test_run_roots_split_invariance(name, overrides, k):
-    """Root branches dealt into k random groups, each shuffled and run on
-    its own enumerator (the Spark task layout), add up to one run over all
-    of them; an empty group adds nothing. OR has no GR-blocked pair; the
-    tail graph's core search emits some, so each group drops its own."""
+    """Root branches dealt into k random groups, each shuffled and run by
+    its own ``run_roots`` call (the Spark task layout), add up to one call
+    over all of them; an empty group adds nothing. OR has no GR-blocked
+    pair; the tail graph's core search emits some, so each group drops its
+    own."""
     for g in (load_local("OR", "test"), tail_graph()):
-        plan = plan_roots(g, resolve_config(name, overrides))
+        plan, _, _ = plan_roots(g, resolve_config(name, overrides))
         ids = range(len(plan.costs))
-        whole = plan.enumerator()
-        run_roots(whole, plan, ids)
+        whole, whole_stats = run_roots(plan, ids)
         rng = random.Random(k)
         groups = [[] for _ in range(k)]
         for bid in ids:
@@ -346,12 +343,11 @@ def test_run_roots_split_invariance(name, overrides, k):
         stats, cliques = BranchStats(), []
         for group in groups + [[]]:
             rng.shuffle(group)
-            enum = plan.enumerator()
-            run_roots(enum, plan, group)
-            stats.merge(enum.stats)
-            cliques += enum.out
-        assert sorted(cliques) == sorted(whole.out)
-        assert stats.as_dict() == whole.stats.as_dict()
+            out, st = run_roots(plan, group)
+            stats.merge(st)
+            cliques += out
+        assert sorted(cliques) == sorted(whole)
+        assert stats.as_dict() == whole_stats.as_dict()
 
 
 def _fresh_python(code: str) -> str:
@@ -384,3 +380,35 @@ def test_deep_clique_raises_recursion_limit():
         "print(r.cliques == [tuple(range(400))])"
     )
     assert _fresh_python(code) == "True"
+
+
+def test_benchmark_patch_points_are_reached(monkeypatch):
+    """``mcebench/tracing.py`` times the layers by swapping the names the
+    program looks up at call time, and skips a name that is gone, so a
+    refactor that stops reaching one would silently zero a benchmark
+    layer. Each name must still exist where the tracer swaps it and be
+    called by a hybrid and a vertex-root run. Delete this test with the
+    import-site tracer."""
+    import repro.core.hbbmc as hbbmc
+    import repro.core.kernels as kernels
+    import repro.dist.mce as dist_mce
+    from repro.graphs.edgelist import to_local as edgelist_to_local
+
+    sites = [
+        (hbbmc, "reduce_graph"),
+        (hbbmc, "edge_order_rank"),
+        (hbbmc, "degeneracy_order"),
+        (kernels, "enumerate_tplex"),
+    ]
+    calls = {name: 0 for _, name in sites}
+    for mod, name in sites:
+        def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    g = load_local("OR", "test")
+    for name in ("HBBMC++", "VBBMC-dgn"):
+        assert run_named(g, name).stats.et_applied > 0
+    assert all(calls.values()), calls
+    assert dist_mce.to_local is edgelist_to_local

@@ -3,7 +3,7 @@ kernel-level unit behavior."""
 import pytest
 
 from repro.core.hbbmc import run_named
-from repro.core.kernels import KERNELS, Enumerator, kernel_fn
+from repro.core.kernels import KERNELS, Enumerator
 from repro.core.localgraph import LocalGraph
 from repro.graphs.generators import ba_edges, powerlaw_cluster_edges, to_local
 from tests.oracles import caveman_edges, er_edges, reference_mce, verify_cliques
@@ -27,7 +27,7 @@ def test_kernel_vertex_framework_matches_reference(kernel, gname, make, seed):
     ref = reference_mce(g)
     for et_t in (0, 3):
         enum = Enumerator(g.adj, et_t=et_t)
-        kernel_fn(enum, kernel)([], set(g.adj), set())
+        getattr(enum, KERNELS[kernel])([], set(g.adj), set())
         assert sorted(enum.out) == ref, f"{kernel}/direct/t={et_t}"
         for base in ("RDegen", "RRef"):
             r = run_named(g, base, kernel=kernel, et_t=et_t)
@@ -38,14 +38,8 @@ def test_kernel_vertex_framework_matches_reference(kernel, gname, make, seed):
 def test_kernel_direct_invocation_on_triangle(kernel):
     g = LocalGraph.from_edges([(0, 1), (1, 2), (0, 2)])
     enum = Enumerator(g.adj)
-    kernel_fn(enum, kernel)([], set(g.adj), set())
+    getattr(enum, KERNELS[kernel])([], set(g.adj), set())
     assert enum.out == [(0, 1, 2)]
-
-
-def test_unknown_kernel_rejected():
-    enum = Enumerator({})
-    with pytest.raises(ValueError, match="unknown kernel"):
-        kernel_fn(enum, "nope")
 
 
 def test_et_counters_on_clique_branch():
