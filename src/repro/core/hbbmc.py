@@ -1,45 +1,18 @@
-"""Frameworks: VBBMC (vertex-oriented) and HBBMC (hybrid), plus the
-named-algorithm registry used by every evaluation table. EBBMC (pure
-edge-oriented branching) is the hybrid whose edge levels never hand over.
-
-Edge-oriented branching (Algorithms 2–4 of the paper) keeps Eq.(2)'s
-shrinking edge sets the way EBBkC [19] does: by sweeping the edge order and
-deleting each edge once its branch is built. Every edge-oriented branch
-carries its *compat adjacency*: its candidate edges, which are exactly the
-edges ordered after the edge that created it (the lazy invariant of
-DESIGN.md §3). A branch (S, C, X) sweeps its compat edges among C in rank
-order; once edge e = (a, b) is deleted, the map ``live`` left holds exactly
-the edges ordered after e, and the sub-branch of e is
-
-    C' = live[a] ∩ live[b]
-    X' = ((C ∪ X) ∩ N(a) ∩ N(b)) \\ C'
-
-with ``live`` as its compat adjacency — every common G-neighbor of S' lands
-in C' or X', so maximality checks stay exact. The initial branch is (∅, V,
-∅) with G as its compat adjacency, so its sweep is one pass over the whole
-edge order (``run_roots``). Zero-degree candidates (no compat edge to
-another candidate) are the Eq.(3) branches: ``S ∪ {v}`` is emitted iff no
-other common neighbor is G-adjacent to v.
-
-``d`` controls how many edge-oriented levels run before switching to the
-vertex-oriented kernel (Table IV); ``d=1`` is HBBMC. Each level adds two
-vertices to S, so a branch at depth ``d`` with a candidate left holds a
-clique of 2d + 1 vertices: with ``d > ω/2`` no branch reaches the kernel and
-the hybrid is pure EBBMC.
+"""Frameworks: VBBMC (vertex-oriented) and HBBMC (hybrid) as configuration,
+root-branch planning and the runner, plus the named-algorithm registry used
+by every evaluation table. The search itself is
+``repro.core.kernels.Enumerator``.
 
 Every run first applies graph reduction (GR, ``repro.core.reduction``), as
 every algorithm of Tables II–VI does, and searches only the core it leaves.
 The initial branch splits MCE on that core into independent *root
-branches* along one *root order*, the config key ``root``: one branch per
-edge in an edge order (``"truss"``, ``"dgn"`` or ``"mdg"``: the hybrid; a
-maximal clique belongs to the branch of its rank-minimal edge), one per
-vertex in degeneracy order (``"degeneracy"``: the vertex framework; the
-branch of its first vertex), or the single whole-graph branch
-(``"global"``). A root's id is its position in that order. ``plan_roots``
-computes the initial branch once and ``run_roots`` runs any set of root ids
-in one sweep of the order, for both root kinds, so ``run_named`` runs every
-root in process and ``repro.dist.mce`` runs each Spark task's group of
-roots with the same code.
+branches* along one *root order* (the config key ``root``): a maximal
+clique belongs to the branch of its rank-minimal edge (the hybrid), of its
+first vertex in degeneracy order, or to the single whole-graph branch. A
+root's id is its position in that order. ``plan_roots`` computes the
+initial branch once and ``run_roots`` runs any set of root ids, so
+``run_named`` runs every root in process and ``repro.dist.mce`` runs each
+Spark task's group of roots with the same code.
 """
 from __future__ import annotations
 
@@ -83,8 +56,9 @@ class MceConfig:
     vertex framework (VBBMC).
     kernel: the vertex-oriented kernel (``repro.core.kernels.KERNELS``).
     d (edge roots only): edge-oriented levels before the kernel takes over
-    (Table IV); any ``d > ω/2`` (ω the largest clique size) never hands
-    over: pure EBBMC. Setting it under a vertex root is an error.
+    (Table IV); ``d=1`` is HBBMC. Each level adds two vertices to S, so any
+    ``d > ω/2`` (ω the largest clique size) never hands over: pure EBBMC.
+    Setting it under a vertex root is an error.
     et_t: early-termination threshold t (1, 2 or 3), 0 for none (Table V).
     """
 
@@ -176,8 +150,7 @@ def plan_roots(
         pos = edge_order_rank(core, cfg.root)
         order = core.edges_at(pos)
         costs = np.minimum(core.deg[core.eu[pos]], core.deg[core.ev[pos]]).tolist()
-        # The initial edge-oriented branch is one call. It has no Eq.(3)
-        # branch: GR leaves no vertex of degree below 3.
+        # The initial edge-oriented branch is one call, whichever roots run.
         stats.calls = 1
     stats.root_branches = len(costs)
     plan = RootPlan(config=cfg, adj=adj, blocked=red.blocked, order=order, costs=costs)
@@ -189,57 +162,24 @@ def run_roots(
 ) -> tuple[list[tuple[int, ...]], BranchStats]:
     """Run the root branches ``branch_ids`` (any subset of the plan's ids,
     in any order) of ``plan`` on a fresh ``Enumerator``, and return their
-    maximal cliques and counters. One sweep of ``plan.order`` up to the
-    largest wanted id serves edge and vertex roots alike. The kernels emit
-    every maximal clique of the core; this call then drops GR's blocked
-    pairs from them and counts the rest in ``stats.cliques``. Raises
-    Python's recursion limit to what the plan's deepest branch can need."""
+    maximal cliques and counters. The search emits every maximal clique of
+    the core; this call then drops GR's blocked pairs from them and counts
+    the rest in ``stats.cliques``. Raises Python's recursion limit to what
+    the plan's deepest branch can need."""
     cfg = plan.config
     adj = plan.adj
-    enum = Enumerator(adj, et_t=cfg.et_t)
-    kernel = getattr(enum, KERNELS[cfg.kernel])
-    # A kernel level costs at most 3 frames (kernel -> _pivot_branch ->
-    # _branch_on -> kernel) and an edge level 1; each adds at least one
-    # vertex to the clique S, so a root branch nests at most omega + d + 1 <=
-    # max degree + d + 2 levels; no branch has more than max degree + 2
-    # levels at all, so a deeper d adds nothing. ET's path recursion adds at
-    # most one frame per candidate. Python's default limit stays on top for
-    # the caller's own frames.
+    # Each level adds vertices to the clique S, which never exceeds
+    # omega <= max degree + 1 vertices: an edge level costs 2 frames (the
+    # sweep and the branch) and adds two, a kernel level at most 3 (kernel ->
+    # _pivot_branch -> _branch_on) and adds one, so no branch nests deeper
+    # than 3 frames per vertex of S, whatever d is. ET's path recursion adds
+    # at most one frame per candidate. Python's default limit stays on top
+    # for the caller's own frames and the few above the first level.
     max_deg = max(map(len, adj.values()), default=0)
-    needed = 3 * (max_deg + min(cfg.d, max_deg + 2) + 2) + max_deg + 1000
+    needed = 3 * (max_deg + 1) + max_deg + 1000
     sys.setrecursionlimit(max(sys.getrecursionlimit(), needed))
-    wanted = set(branch_ids)
-    if plan.order is None:
-        if wanted:
-            kernel([], set(adj), set())
-    else:
-        # Only edge levels below d sort their compat edges by rank.
-        rank = {e: i for i, e in enumerate(plan.order)} if cfg.d > 1 else None
-        vertex_roots = cfg.root == "degeneracy"
-        # Sweep the order, deleting each root once it is passed: at root i,
-        # rem holds exactly the graph of the roots after i, and it does not
-        # change while root i runs. Every vertex is a candidate of the
-        # initial branch and none is excluded, so a root's X is every other
-        # G-neighbour of its vertices that the root's C leaves out.
-        rem = {v: set(nbrs) for v, nbrs in adj.items()}
-        for i, root in enumerate(plan.order[: max(wanted, default=-1) + 1]):
-            if vertex_roots:
-                # C = the later neighbours of v.
-                C = rem.pop(root)
-                for u in C:
-                    rem[u].discard(root)
-                if i in wanted:
-                    kernel([root], C, adj[root] - C)
-                continue
-            # C' = the common neighbours of a and b over edges ranked after
-            # (a, b): rem is the root's compat adjacency.
-            a, b = root
-            rem_a, rem_b = rem[a], rem[b]
-            rem_a.discard(b)
-            rem_b.discard(a)
-            if i in wanted:
-                C2 = rem_a & rem_b
-                _ebb(enum, [a, b], C2, (adj[a] & adj[b]) - C2, rem, rank, 1, cfg.d, kernel)
+    enum = Enumerator(adj, kernel=cfg.kernel, et_t=cfg.et_t, d=cfg.d)
+    enum.roots(plan.order, branch_ids, vertices=cfg.root == "degeneracy")
     out = enum.out
     if plan.blocked:
         # A blocked pair is not maximal in G (DESIGN.md §3, "GR blocked sets").
@@ -247,61 +187,6 @@ def run_roots(
         out = [c for c in out if c not in blocked]
     enum.stats.cliques = len(out)
     return out, enum.stats
-
-
-def _ebb(
-    enum: Enumerator,
-    S: list[int],
-    C: set[int],
-    X: set[int],
-    cadj: dict[int, set[int]],
-    rank: dict[Pair, int] | None,
-    depth: int,
-    d: int,
-    kernel,
-) -> None:
-    """Edge-oriented branch (S, C, X) with compat adjacency ``cadj`` (Eq. 2
-    + Eq. 3), just built by its parent at ``depth``; switches to ``kernel``
-    once ``depth`` reaches ``d``. ``rank`` (edge -> position in the root
-    order) is read only below ``d``."""
-    adj = enum.adj
-    # Prune dead branches at creation, without a call (the paper's call
-    # counts on large graphs — fewer calls than edges — imply the same): an
-    # empty candidate set emits at most S, and an exclusion vertex adjacent
-    # to every candidate blocks every clique of the branch. A live branch is
-    # one call, counted where it runs: by the kernel's _enter after a
-    # hand-off, here when this level sweeps it.
-    if not C:
-        if not X:
-            enum.emit(S)
-        return
-    if any(C <= adj[x] for x in X):
-        return
-    if depth >= d:
-        # Hand over to the vertex-oriented kernel under this branch's compat
-        # adjacency (dual adjacency; see repro.core.kernels docstring).
-        enum.cadj = cadj
-        kernel(S, C, X)
-        return
-    enum.stats.calls += 1
-    live = {u: C & cadj[u] for u in C}
-    # Eq.(3): candidates with no compat edge — their only clique in this
-    # branch is S ∪ {v}, maximal iff nothing else common-adjacent touches v.
-    isolated = [v for v in sorted(C) if not live[v]]
-    # Eq.(2): sweep this branch's compat edges among C in rank order, as
-    # run_roots sweeps G's. After edge (a, b) is deleted, live holds exactly
-    # the compat edges ranked after it: the child's compat adjacency.
-    for _, a, b in sorted((rank[(u, v)], u, v) for u in C for v in live[u] if u < v):
-        live_a, live_b = live[a], live[b]
-        live_a.discard(b)
-        live_b.discard(a)
-        C2 = live_a & live_b
-        ab = adj[a] & adj[b]
-        X2 = (X & ab) | ((C & ab) - C2)
-        _ebb(enum, S + [a, b], C2, X2, live, rank, depth + 1, d, kernel)
-    for v in isolated:
-        if not (((C | X) - {v}) & adj[v]):
-            enum.emit(S + [v])
 
 
 #: Named configurations for every algorithm that appears in Tables II–VI.

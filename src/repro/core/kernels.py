@@ -1,7 +1,8 @@
-"""Vertex-oriented branch-and-bound kernels (VBBMC variants) and the
-branch steps they share.
+"""The search of one run's root branches: the edge-oriented levels of
+EBBMC/HBBMC (Eq. 2/3) and the vertex-oriented branch-and-bound kernels
+(VBBMC variants), with the branch steps they share.
 
-Every kernel enumerates the maximal cliques of a branch ``(S, C, X)``:
+Every branch is a triple ``(S, C, X)``:
 
 - ``S``: the partial clique (list of vertices),
 - ``C``: candidate vertices, each G-adjacent to all of S,
@@ -24,19 +25,35 @@ fast path), ``_early_term`` (the t-plex ET step), ``_branch_on`` (branch on
 w, then move w from C to X) and ``_pivot_branch`` (X-side pivot scan and the
 branch loop over C \\ N(p)).
 
-Dual adjacency (DESIGN.md §3): inside an edge-oriented branch, two
-candidates may only be *jointly included* if their edge is ordered after the
-edge that created the branch — that is what attributes each maximal clique
-to exactly one root branch (the one of its rank-minimal edge). The branch's
-*compat adjacency* ``self.cadj`` (v -> the vertices v may be jointly included
-with) holds exactly those edges; ``repro.core.hbbmc`` sets it right before
-the kernel call. When the kernel branches on ``w``, candidates G-adjacent to
-``w`` but not compat with it ("ghosts") drop into X: they still block
-maximality, but the clique containing both belongs to an earlier root
-branch. Pivot selection and X-blocking always use plain G-adjacency (if a
-surviving extension were entirely inside N_G(p), p would G-extend it, so it
-can never be maximal — valid for pivots from C or X). With ``cadj`` unset
-the two relations coincide and the kernels are the textbook algorithms.
+Edge-oriented branching (Algorithms 2–4 of the paper) keeps Eq.(2)'s
+shrinking edge sets the way EBBkC [19] does. Every edge-oriented branch
+carries its *compat adjacency*: its candidate edges, exactly the edges
+ordered after the edge that created it (the lazy invariant of DESIGN.md §3).
+Two candidates may be jointly included only over a compat edge, which
+attributes each maximal clique to exactly one root branch, the one of its
+rank-minimal edge. ``_sweep`` walks a branch's compat edges among C in rank
+order and deletes each once its child is built; after e = (a, b) the map
+``live`` holds exactly the edges ordered after e, and e's child is
+
+    C' = live[a] ∩ live[b]
+    X' = ((C ∪ X) ∩ N(a) ∩ N(b)) \\ C'
+
+with ``live`` as its compat adjacency — every common G-neighbor of S' lands
+in C' or X', so maximality checks stay exact. The initial branch is (∅, V,
+∅) with G as its compat adjacency, so the edge roots are the first sweep.
+Zero-degree candidates (no compat edge to another candidate) are the Eq.(3)
+branches: ``S ∪ {v}`` is emitted iff no other common neighbor is G-adjacent
+to v.
+
+Dual adjacency: ``_edge_branch`` hands over to the kernel with ``self.cadj``
+set to its compat adjacency. When the kernel branches on ``w``, candidates
+G-adjacent to ``w`` but not compat with it ("ghosts") drop into X: they
+still block maximality, but the clique containing both belongs to an
+earlier root branch. Pivot selection and X-blocking always use plain
+G-adjacency (if a surviving extension were entirely inside N_G(p), p would
+G-extend it, so it can never be maximal — valid for pivots from C or X).
+With ``cadj`` unset (vertex and global roots) the two relations coincide and
+the kernels are the textbook algorithms.
 
 The early-termination check exploits that the branch candidate graph's edge
 set is the compat edges among C: a t-plex under it requires a t-plex under G
@@ -54,34 +71,128 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from .early_term import enumerate_tplex
+from .ordering import Pair
 from .stats import BranchStats
 
 Kernel = Callable[[list[int], set[int], set[int]], None]
 
 
 class Enumerator:
-    """Holds the (reduced) graph, ET config and counters; the kernel methods
-    recurse on branch triples. ``repro.core.hbbmc.run_roots`` makes one per
-    call, so an instance serves the roots of one kind: a kernel is entered
-    either right after ``_ebb`` has set ``cadj`` to the handing-over edge
-    branch's compat adjacency, or by a vertex or global root, under which
-    ``cadj`` is never set. So ``cadj`` needs no restoring when a kernel
-    returns."""
+    """The search state of one set of root branches: the (reduced) graph,
+    the configuration, the counters and the emitted cliques. ``roots`` runs
+    a plan's root branches. An instance serves roots of one kind, so
+    ``cadj`` (set before each hand-off from an edge level, never under a
+    vertex or global root) needs no restoring when a kernel returns. Nothing
+    on it points back to it, so reference counting frees it, and its copy of
+    the graph, as soon as its caller drops it."""
 
-    def __init__(self, adj: dict[int, set[int]], *, et_t: int = 0):
+    def __init__(
+        self, adj: dict[int, set[int]], *, kernel: str = "tomita", et_t: int = 0, d: int = 1
+    ):
         self.adj = adj
         self.et_t = et_t
+        self.d = d
+        self._vbb = KERNELS[kernel]  # unbound: a bound method would be a reference cycle
         self.stats = BranchStats()
         self.out: list[tuple[int, ...]] = []
-        # Compat adjacency of the enclosing edge-oriented branch (None outside
-        # one); set by repro.core.hbbmc._ebb before each hand-off to a kernel.
         self.cadj: dict[int, set[int]] | None = None
+        # Edge -> position in the root order, read by edge levels below d.
+        self.rank: dict[Pair, int] | None = None
 
     # -- emission ---------------------------------------------------------
     def emit(self, clique: Iterable[int]) -> None:
         c = tuple(sorted(clique))
         if c:
             self.out.append(c)
+
+    # -- root branches and edge levels --------------------------------------
+    def roots(
+        self, order: list[Pair] | list[int] | None, wanted: Iterable[int], *, vertices: bool = False
+    ) -> None:
+        """Run the root branches ``wanted`` (positions in ``order``) of the
+        initial branch (∅, V, ∅): the one global root if ``order`` is None,
+        else one root per vertex (``vertices``) or per edge of ``order``;
+        edge roots need ``adj`` to hold no isolated vertex, as GR's core
+        does. The order is swept up to the largest wanted id, deleting each
+        root once it is passed, so at root i the copy ``rem`` holds exactly
+        the graph of the roots after i."""
+        adj = self.adj
+        wanted = set(wanted)
+        if order is None:
+            if wanted:
+                self._vbb(self, [], set(adj), set())
+            return
+        rem = {v: set(nbrs) for v, nbrs in adj.items()}
+        swept = order[: max(wanted, default=-1) + 1]
+        if not vertices:
+            if self.d > 1:
+                self.rank = {e: i for i, e in enumerate(order)}
+            # The initial branch's Eq.(2) sweep, with rem as its compat
+            # adjacency; no vertex is isolated, so it has no Eq.(3) branch.
+            self._sweep([], None, rem, swept, 0, wanted)
+            return
+        for i, v in enumerate(swept):
+            # C = the later neighbours of v; nothing is excluded from the
+            # initial branch, so X is every earlier one.
+            C = rem.pop(v)
+            for u in C:
+                rem[u].discard(v)
+            if i in wanted:
+                self._vbb(self, [v], C, adj[v] - C)
+
+    def _sweep(
+        self, S: list[int], CX: set[int] | None, live: dict[int, set[int]], edges: Iterable[Pair],
+        depth: int, wanted: set[int] | None = None,
+    ) -> None:
+        """Eq.(2) on the edge-oriented branch (S, C, X) at ``depth``, with
+        ``CX`` = C ∪ X and ``live`` its compat adjacency among C: build the
+        child of each of ``edges``, its compat edges among C in rank order.
+        At depth 0, the initial branch, C ∪ X is V (so ``CX`` is not read)
+        and only the children at the positions ``wanted`` are built."""
+        adj = self.adj
+        for i, (a, b) in enumerate(edges):
+            live_a, live_b = live[a], live[b]
+            live_a.discard(b)
+            live_b.discard(a)
+            if depth or i in wanted:
+                C2 = live_a & live_b
+                ab = adj[a] & adj[b]
+                self._edge_branch(S + [a, b], C2, (ab & CX if depth else ab) - C2, live, depth + 1)
+
+    def _edge_branch(
+        self, S: list[int], C: set[int], X: set[int], cadj: dict[int, set[int]], depth: int
+    ) -> None:
+        """Edge-oriented branch (S, C, X) with compat adjacency ``cadj``
+        (Eq. 2 + Eq. 3), just built by its parent's sweep at ``depth``;
+        hands over to the kernel once ``depth`` reaches ``d``."""
+        adj = self.adj
+        # Prune dead branches at creation, without a call (the paper's call
+        # counts on large graphs — fewer calls than edges — imply the same): an
+        # empty candidate set emits at most S, and an exclusion vertex adjacent
+        # to every candidate blocks every clique of the branch. A live branch is
+        # one call, counted where it runs: by the kernel's _enter after a
+        # hand-off, here when this level sweeps it.
+        if not C:
+            if not X:
+                self.emit(S)
+            return
+        if any(C <= adj[x] for x in X):
+            return
+        if depth >= self.d:
+            self.cadj = cadj
+            self._vbb(self, S, C, X)
+            return
+        self.stats.calls += 1
+        live = {u: C & cadj[u] for u in C}
+        # Eq.(3): candidates with no compat edge — their only clique in this
+        # branch is S ∪ {v}, maximal iff nothing else common-adjacent touches v.
+        isolated = [v for v in sorted(C) if not live[v]]
+        CX = C | X
+        edges = sorted(((u, v) for u in C for v in live[u] if u < v), key=self.rank.__getitem__)
+        self._sweep(S, CX, live, edges, depth)
+        for v in isolated:
+            if adj[v].isdisjoint(CX):
+                self.emit(S + [v])
 
     # -- helpers -----------------------------------------------------------
     def _enter(self, S: list[int], C: set[int], X: set[int]) -> bool:
@@ -240,8 +351,9 @@ class Enumerator:
                 P = P2
 
 
-KERNELS: dict[str, str] = {
-    "tomita": "vbb_tomita",
-    "rcd": "vbb_rcd",
-    "fac": "vbb_fac",
+#: The vertex-oriented kernels by name, as unbound methods.
+KERNELS: dict[str, Callable[..., None]] = {
+    "tomita": Enumerator.vbb_tomita,
+    "rcd": Enumerator.vbb_rcd,
+    "fac": Enumerator.vbb_fac,
 }

@@ -62,8 +62,6 @@ def powerlaw_cluster_edges(
 
     repeated: list[int] = []
     for i in range(m0 - 1):
-        adj.setdefault(i, set())
-        adj.setdefault(i + 1, set())
         add(i, i + 1)
     for v in range(m0, n):
         adj[v] = set()

@@ -2,6 +2,7 @@
 with a depth no branch reaches), the named algorithm registry, parameter
 sweeps, and counter invariants."""
 import copy
+import gc
 import os
 import random
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 
 import repro
 from repro.core.hbbmc import ALGORITHMS, RootPlan, plan_roots, resolve_config, run_named, run_roots
+from repro.core.kernels import Enumerator
 from repro.core.localgraph import LocalGraph
 from repro.core.ordering import EDGE_ORDERS, truss_peel
 from repro.core.reduction import reduce_graph
@@ -350,6 +352,25 @@ def test_run_roots_split_invariance(name, overrides, k):
         assert stats.as_dict() == whole_stats.as_dict()
 
 
+def test_run_roots_frees_its_search_state_by_refcount():
+    """``run_roots``' Enumerator holds a copy of the graph while its roots
+    run. Nothing on it may point back to it (a bound kernel method would),
+    so reference counting frees it when ``run_roots`` returns: a cycle kept
+    each run's copy alive until the cyclic collector ran, which raised the
+    benchmark's peak RSS."""
+    g = load_local("OR", "test")
+    configs = [("HBBMC++", {}), ("HBBMC++", {"d": 2}), ("RDegen", {}), ("RRef", {})]
+    plans = [plan_roots(g, resolve_config(name, ov))[0] for name, ov in configs]
+    gc.collect()
+    gc.disable()
+    try:
+        for plan in plans:
+            run_roots(plan, range(len(plan.costs)))
+        assert not [o for o in gc.get_objects() if isinstance(o, Enumerator)]
+    finally:
+        gc.enable()
+
+
 def _fresh_python(code: str) -> str:
     """stdout of ``code`` run in a new interpreter that imports this repro."""
     env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
@@ -369,17 +390,18 @@ def test_import_leaves_recursion_limit():
 
 
 def test_deep_clique_raises_recursion_limit():
-    """K_400 nests 400 kernel levels on one global root, more frames than
-    Python's default limit of 1000 allows; run_roots raises the limit."""
+    """K_400 nests 400 kernel levels on one global root, and about 399 below
+    the edge sweep's frames on the first edge root of HBBMC+ (no ET), more
+    frames than Python's default limit of 1000 allows; run_roots raises the
+    limit."""
     code = (
         "import itertools; "
         "from repro.core.hbbmc import run_named; "
         "from repro.core.localgraph import LocalGraph; "
         "g = LocalGraph.from_edges(itertools.combinations(range(400), 2)); "
-        "r = run_named(g, 'RRef'); "
-        "print(r.cliques == [tuple(range(400))])"
+        "print([run_named(g, a).cliques == [tuple(range(400))] for a in ('RRef', 'HBBMC+')])"
     )
-    assert _fresh_python(code) == "True"
+    assert _fresh_python(code) == "[True, True]"
 
 
 def test_benchmark_patch_points_are_reached(monkeypatch):

@@ -26,8 +26,8 @@ def test_kernel_vertex_framework_matches_reference(kernel, gname, make, seed):
     g = make(seed)
     ref = reference_mce(g)
     for et_t in (0, 3):
-        enum = Enumerator(g.adj, et_t=et_t)
-        getattr(enum, KERNELS[kernel])([], set(g.adj), set())
+        enum = Enumerator(g.adj, kernel=kernel, et_t=et_t)
+        enum.roots(None, [0])
         assert sorted(enum.out) == ref, f"{kernel}/direct/t={et_t}"
         for base in ("RDegen", "RRef"):
             r = run_named(g, base, kernel=kernel, et_t=et_t)
@@ -37,8 +37,8 @@ def test_kernel_vertex_framework_matches_reference(kernel, gname, make, seed):
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_kernel_direct_invocation_on_triangle(kernel):
     g = LocalGraph.from_edges([(0, 1), (1, 2), (0, 2)])
-    enum = Enumerator(g.adj)
-    getattr(enum, KERNELS[kernel])([], set(g.adj), set())
+    enum = Enumerator(g.adj, kernel=kernel)
+    enum.roots(None, [0])
     assert enum.out == [(0, 1, 2)]
 
 
