@@ -170,13 +170,13 @@ def run_roots(
     adj = plan.adj
     # Each level adds vertices to the clique S, which never exceeds
     # omega <= max degree + 1 vertices: an edge level costs 2 frames (the
-    # sweep and the branch) and adds two, a kernel level at most 3 (kernel ->
-    # _pivot_branch -> _branch_on) and adds one, so no branch nests deeper
-    # than 3 frames per vertex of S, whatever d is. ET's path recursion adds
-    # at most one frame per candidate. Python's default limit stays on top
-    # for the caller's own frames and the few above the first level.
+    # sweep and the branch) and adds two, a kernel level 2 (kernel ->
+    # _branch) and adds one, so no branch nests deeper than 2 frames per
+    # vertex of S, whatever d is. ET's path recursion adds at most one frame
+    # per candidate. Python's default limit stays on top for the caller's
+    # own frames and the few above the first level.
     max_deg = max(map(len, adj.values()), default=0)
-    needed = 3 * (max_deg + 1) + max_deg + 1000
+    needed = 2 * (max_deg + 1) + max_deg + 1000
     sys.setrecursionlimit(max(sys.getrecursionlimit(), needed))
     enum = Enumerator(adj, kernel=cfg.kernel, et_t=cfg.et_t, d=cfg.d)
     enum.roots(plan.order, branch_ids, vertices=cfg.root == "degeneracy")

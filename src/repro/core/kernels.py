@@ -21,9 +21,13 @@ Kernels:
 
 The kernels differ only in how they choose branching vertices. Each branch
 step they share exists once: ``_enter`` (call count, empty-C leaf, |C| = 1
-fast path), ``_early_term`` (the t-plex ET step), ``_branch_on`` (branch on
-w, then move w from C to X) and ``_pivot_branch`` (X-side pivot scan and the
-branch loop over C \\ N(p)).
+fast path), ``_early_term`` (the t-plex ET step) and ``_branch`` (the child
+step: for each branching vertex w, build the child's C and X, drop ghosts
+into X, settle a child with |C| <= 1 in the loop by ``_enter``'s rule and
+recurse only into larger ones, then move w from C to X). tomita hands
+``_branch`` all of C \\ N(p) at once, rcd and fac one vertex at a time.
+A kernel call owns the C and X it is given: every caller builds both fresh
+and never reads them again, so a kernel updates them in place.
 
 Edge-oriented branching (Algorithms 2–4 of the paper) keeps Eq.(2)'s
 shrinking edge sets the way EBBkC [19] does. Every edge-oriented branch
@@ -202,7 +206,9 @@ class Enumerator:
         Empty C: S is maximal iff X is empty. |C| == 1: the only candidate
         clique is S ∪ {v}, maximal iff no exclusion vertex is adjacent to v
         (every x in X is already adjacent to all of S); S alone can never be
-        maximal (v extends it). Counter-wise this is a 1-plex branch."""
+        maximal (v extends it). Counter-wise this is a 1-plex branch.
+        ``_branch`` settles its small children by this rule in its own loop;
+        ``tests/test_kernels.py`` pins the two to the same counts."""
         st = self.stats
         st.calls += 1
         if not C:
@@ -225,18 +231,6 @@ class Enumerator:
         candidate edge set restricted to C equals G's."""
         cadj = self.cadj
         return cadj is None or all(nbr_in_c[v] <= cadj[v] for v in C)
-
-    def _split_child(self, w: int, gz: set[int], Xn: set[int]) -> tuple[set[int], set[int]]:
-        """Child (C, X) after branching on ``w``: ``gz`` = candidates
-        G-adjacent to w, ``Xn`` = exclusion vertices G-adjacent to w. Ghost
-        candidates (G-adjacent to w but not compat with it) drop into X."""
-        cadj = self.cadj
-        if cadj is None:
-            return gz, Xn
-        Cw = gz & cadj[w]
-        if len(Cw) == len(gz):
-            return Cw, Xn
-        return Cw, Xn | (gz - Cw)
 
     # -- early termination -------------------------------------------------
     def _early_term(
@@ -262,29 +256,50 @@ class Enumerator:
         return True
 
     # -- branching ---------------------------------------------------------
-    def _branch_on(self, S: list[int], Cc: set[int], Xc: set[int], w: int, rec: Kernel) -> None:
-        """Branch on ``w``, then move it from ``Cc`` to ``Xc`` (the BK
-        'exclude after branching' step; both sets are updated in place)."""
-        adj = self.adj
-        Cw, Xw = self._split_child(w, Cc & adj[w], Xc & adj[w])
-        rec(S + [w], Cw, Xw)
-        Cc.discard(w)
-        Xc.add(w)
-
-    def _pivot_branch(
-        self, S: list[int], C: set[int], X: set[int], best_p: int, best_cnt: int, rec: Kernel
+    def _branch(
+        self, S: list[int], Cc: set[int], Xc: set[int], ws: Iterable[int], rec: Kernel
     ) -> None:
-        """Finish the pivot choice over X (``best_p``/``best_cnt``: the best
-        pivot from C; ties go to the smaller vertex id), then branch on each
-        vertex of C \\ N(p) in increasing order."""
+        """Branch on each vertex w of ``ws`` in turn, then move w from ``Cc``
+        to ``Xc`` (the BK 'exclude after branching' step; both sets are
+        updated in place). The child's C and X are the members of Cc and Xc
+        G-adjacent to w, except that ghost candidates (G-adjacent to w but
+        not compat with it) drop into X. A child with |C| >= 2 runs in
+        ``rec``, which owns the two fresh sets; a smaller one is settled here,
+        without a frame, exactly as ``_enter`` would settle it: one call, S'
+        maximal iff X' is empty when C' is, and S' ∪ {v} maximal iff no
+        exclusion vertex is adjacent to v (a 1-plex branch) when C' = {v}.
+        Its clique is appended sorted, as ``emit`` would, without the call."""
         adj = self.adj
-        for x in X:
-            cnt = len(C & adj[x])
-            if cnt > best_cnt or (cnt == best_cnt and x < best_p):
-                best_cnt, best_p = cnt, x
-        Cc, Xc = set(C), set(X)
-        for w in sorted(C - adj[best_p]):
-            self._branch_on(S, Cc, Xc, w, rec)
+        cadj = self.cadj
+        st = self.stats
+        plex = self.et_t > 0
+        out = self.out
+        for w in ws:
+            nbrs = adj[w]
+            Cw = Cc & nbrs
+            Xw = Xc & nbrs
+            if cadj is not None:
+                compat = Cw & cadj[w]
+                if len(compat) < len(Cw):
+                    Xw |= Cw - compat
+                Cw = compat
+            if len(Cw) > 1:
+                rec(S + [w], Cw, Xw)
+            else:
+                st.calls += 1
+                if not Cw:
+                    if not Xw:
+                        out.append(tuple(sorted(S + [w])))
+                else:
+                    if plex:
+                        st.et_plex += 1
+                        if not Xw:
+                            st.et_applied += 1
+                    (v,) = Cw
+                    if Xw.isdisjoint(adj[v]):
+                        out.append(tuple(sorted(S + [w, v])))
+            Cc.discard(w)
+            Xc.add(w)
 
     # -- kernel: tomita (classic pivot) ------------------------------------
     def vbb_tomita(self, S: list[int], C: set[int], X: set[int]) -> None:
@@ -301,35 +316,40 @@ class Enumerator:
                 min_deg = cnt
         if self.et_t > 0 and min_deg >= len(C) - self.et_t and self._early_term(S, C, X):
             return
-        self._pivot_branch(S, C, X, best_p, best_cnt, self.vbb_tomita)
+        # The pivot may also come from X (ties go to the smaller vertex id);
+        # branch on each vertex of C \ N(p) in increasing order.
+        for x in X:
+            cnt = len(C & adj[x])
+            if cnt > best_cnt or (cnt == best_cnt and x < best_p):
+                best_cnt, best_p = cnt, x
+        self._branch(S, C, X, sorted(C - adj[best_p]), self.vbb_tomita)
 
     # -- kernel: rcd (min-degree removal) ----------------------------------
     def vbb_rcd(self, S: list[int], C: set[int], X: set[int]) -> None:
         if self._enter(S, C, X):
             return
         adj = self.adj
-        Cc, Xc = set(C), set(X)
-        while Cc:
-            nc = len(Cc)
+        while C:
+            nc = len(C)
             min_v, min_deg = -1, nc
             nbr_in_c: dict[int, set[int]] = {}
-            for v in Cc:
-                gz = Cc & adj[v]
+            for v in C:
+                gz = C & adj[v]
                 nbr_in_c[v] = gz
                 if len(gz) < min_deg or (len(gz) == min_deg and v < min_v):
                     min_deg, min_v = len(gz), v
             if self.et_t > 0 and min_deg >= nc - self.et_t:
-                if self._early_term(S, Cc, Xc, nbr_in_c):
+                if self._early_term(S, C, X, nbr_in_c):
                     return
-            if min_deg == nc - 1 and self._ghost_free(Cc, nbr_in_c):
-                # Cc is a ghost-free G-clique: this branch's single candidate
+            if min_deg == nc - 1 and self._ghost_free(C, nbr_in_c):
+                # C is a ghost-free G-clique: this branch's single candidate
                 # maximal clique (with a ghost pair, that pair belongs to an
                 # earlier root branch and we must keep branching to split it).
-                if not any(Cc <= adj[x] for x in Xc):
-                    self.emit(S + list(Cc))
+                if not any(C <= adj[x] for x in X):
+                    self.emit(S + list(C))
                 return
-            self._branch_on(S, Cc, Xc, min_v, self.vbb_rcd)
-        # All candidates branched away: Xc (which now contains at least the
+            self._branch(S, C, X, (min_v,), self.vbb_rcd)
+        # All candidates branched away: X (which now contains at least the
         # last v) extends S, so S is not maximal and nothing is emitted.
 
     # -- kernel: fac (adaptive cheap pivot) --------------------------------
@@ -340,13 +360,12 @@ class Enumerator:
         if self.et_t > 0 and min(len(C & adj[v]) for v in C) >= len(C) - self.et_t:
             if self._early_term(S, C, X):
                 return
-        Cc, Xc = set(C), set(X)
-        P = Cc - adj[min(Cc)]
+        P = C - adj[min(C)]
         while P:
             u = min(P)
-            self._branch_on(S, Cc, Xc, u, self.vbb_fac)
+            self._branch(S, C, X, (u,), self.vbb_fac)
             P.discard(u)
-            P2 = Cc - adj[u]
+            P2 = C - adj[u]
             if len(P2) < len(P):
                 P = P2
 

@@ -371,6 +371,24 @@ def test_run_roots_frees_its_search_state_by_refcount():
         gc.enable()
 
 
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_run_roots_leaves_its_plan_untouched(name):
+    """A kernel updates the C and X it is given in place, so every hand-off
+    must pass sets the plan does not hold. A Spark worker reuses one
+    deserialized plan across its tasks: a run that wrote into ``plan.adj``
+    would corrupt every later task there."""
+    g = load_local("OR", "test")
+    plan = plan_roots(g, resolve_config(name, {}))[0]
+    before = copy.deepcopy(plan.adj)
+    ids = range(len(plan.costs))
+    first = run_roots(plan, ids)
+    assert plan.adj == before
+    second = run_roots(plan, ids)
+    assert plan.adj == before
+    assert first[0] == second[0]
+    assert first[1].as_dict() == second[1].as_dict()
+
+
 def _fresh_python(code: str) -> str:
     """stdout of ``code`` run in a new interpreter that imports this repro."""
     env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}

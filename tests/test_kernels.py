@@ -91,6 +91,46 @@ def test_single_candidate_fast_path_maximality():
     assert enum.out == []
 
 
+#: A hub 9 adjacent to 0..8, and among the rest the edges 0-1, 2-3, 7-8, 5-2,
+#: 5-3, 6-0 and 6-1. The branch S = [9], C = {0, 1, 2, 3, 4, 7, 8}, X = {5, 6}
+#: has two maximal cliques of its own, {9, 4} and {9, 7, 8}; 6 blocks
+#: {9, 0, 1} and 5 blocks {9, 2, 3}. Every child it branches on has |C| <= 1.
+LEAFY = LocalGraph.from_edges(
+    [(9, v) for v in range(9)] + [(0, 1), (2, 3), (7, 8), (2, 5), (3, 5), (0, 6), (1, 6)]
+)
+
+#: Hand-counted (calls, et_plex, et_applied) of each kernel on that branch at
+#: et_t = 3 (at et_t = 0 only ``calls`` is non-zero).
+#: - tomita pivots on 5 (|C ∩ N(5)| = 2; 6 ties, larger id) and branches on
+#:   0, 1, 4, 7, 8. Children: ({1}, {6}) blocked, ({}, {6, 0}) blocked,
+#:   ({}, {}) emits {4, 9}, ({8}, {}) emits {7, 8, 9} (ET applied),
+#:   ({}, {7}) blocked.
+#: - rcd branches on 4 (emits), 0 ({1}, {6}: blocked), 1 ({}, {6, 0}), 2
+#:   ({3}, {5}: blocked) and 3 ({}, {5, 2}). The t-plex test passes on the
+#:   remaining C = {2, 3, 7, 8}, {3, 7, 8} and {7, 8}, but X is never empty;
+#:   {7, 8} is a clique no X vertex extends, so it emits {7, 8, 9}.
+#: - fac takes P = C \ N(0) = {0, 2, 3, 4, 7, 8}, never re-pivots, and
+#:   branches on 0 ({1}, {6}), 2 ({3}, {5}), 3, 4 (emits), 7 ({8}, {}:
+#:   emits, ET applied) and 8 ({}, {7}).
+LEAFY_COUNTS = {"tomita": (6, 2, 1), "rcd": (6, 5, 0), "fac": (7, 3, 1)}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+@pytest.mark.parametrize("et_t", [0, 3])
+def test_kernel_settles_leaf_children_hand_counted(kernel, et_t):
+    """Children with |C| <= 1 are settled in the parent's loop: each is one
+    call, a |C| = 1 child is a 1-plex branch, and a child blocked by X
+    emits nothing."""
+    enum = Enumerator(LEAFY.adj, kernel=kernel, et_t=et_t)
+    KERNELS[kernel](enum, [9], {0, 1, 2, 3, 4, 7, 8}, {5, 6})
+    calls, et_plex, et_applied = LEAFY_COUNTS[kernel]
+    if not et_t:
+        et_plex = et_applied = 0
+    st = enum.stats
+    assert (st.calls, st.et_plex, st.et_applied) == (calls, et_plex, et_applied)
+    assert enum.out == [(4, 9), (7, 8, 9)]
+
+
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_stats_call_counting_positive(kernel):
     g = to_local(er_edges(20, 60, 0), 20)
