@@ -170,11 +170,13 @@ def run_roots(
     adj = plan.adj
     # Each level adds vertices to the clique S, which never exceeds
     # omega <= max degree + 1 vertices: an edge level costs 2 frames (the
-    # sweep and the branch) and adds two, a kernel level 2 (kernel ->
-    # _branch) and adds one, so no branch nests deeper than 2 frames per
-    # vertex of S, whatever d is. ET's path recursion adds at most one frame
-    # per candidate. Python's default limit stays on top for the caller's
-    # own frames and the few above the first level.
+    # sweep and the branch) and adds two, a vertex level 2 (_branch, then
+    # the kernel or _leaf it calls) and adds one, whether it is a vertex
+    # root's _branch or a kernel's. So no chain nests deeper than 2 frames
+    # per vertex of S, whatever d is, plus the one kernel frame of a
+    # global root or a hand-off that adds none. ET's path recursion adds at
+    # most one frame per candidate. Python's default limit stays on top for
+    # the caller's own frames, that kernel frame and the few above roots.
     max_deg = max(map(len, adj.values()), default=0)
     needed = 2 * (max_deg + 1) + max_deg + 1000
     sys.setrecursionlimit(max(sys.getrecursionlimit(), needed))

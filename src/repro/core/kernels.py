@@ -20,14 +20,16 @@ Kernels:
   branching vertex yields a smaller extension set.
 
 The kernels differ only in how they choose branching vertices. Each branch
-step they share exists once: ``_enter`` (call count, empty-C leaf, |C| = 1
-fast path), ``_early_term`` (the t-plex ET step) and ``_branch`` (the child
+step they share exists once: ``_leaf`` (the one rule for a branch with
+|C| <= 1), ``_early_term`` (the t-plex ET step) and ``_branch`` (the child
 step: for each branching vertex w, build the child's C and X, drop ghosts
-into X, settle a child with |C| <= 1 in the loop by ``_enter``'s rule and
-recurse only into larger ones, then move w from C to X). tomita hands
-``_branch`` all of C \\ N(p) at once, rcd and fac one vertex at a time.
-A kernel call owns the C and X it is given: every caller builds both fresh
-and never reads them again, so a kernel updates them in place.
+into X, run the child in the kernel if |C| >= 2 and in ``_leaf`` otherwise,
+then move w from C to X). tomita hands ``_branch`` all of C \\ N(p) at
+once, rcd and fac one vertex at a time. BK_Degen's top level [9] is the
+plain BK step on (∅, V, ∅) in degeneracy order, so the vertex roots are
+``_branch`` calls on the initial branch too. A kernel call owns the C and X
+it is given: every caller builds both fresh and never reads them again, so
+a kernel updates them in place.
 
 Edge-oriented branching (Algorithms 2–4 of the paper) keeps Eq.(2)'s
 shrinking edge sets the way EBBkC [19] does. Every edge-oriented branch
@@ -78,8 +80,6 @@ from .early_term import enumerate_tplex
 from .ordering import Pair
 from .stats import BranchStats
 
-Kernel = Callable[[list[int], set[int], set[int]], None]
-
 
 class Enumerator:
     """The search state of one set of root branches: the (reduced) graph,
@@ -105,9 +105,7 @@ class Enumerator:
 
     # -- emission ---------------------------------------------------------
     def emit(self, clique: Iterable[int]) -> None:
-        c = tuple(sorted(clique))
-        if c:
-            self.out.append(c)
+        self.out.append(tuple(sorted(clique)))
 
     # -- root branches and edge levels --------------------------------------
     def roots(
@@ -117,32 +115,32 @@ class Enumerator:
         initial branch (∅, V, ∅): the one global root if ``order`` is None,
         else one root per vertex (``vertices``) or per edge of ``order``;
         edge roots need ``adj`` to hold no isolated vertex, as GR's core
-        does. The order is swept up to the largest wanted id, deleting each
-        root once it is passed, so at root i the copy ``rem`` holds exactly
-        the graph of the roots after i."""
+        does. The order is swept up to the largest wanted id, moving each
+        root out of the initial branch once it is passed: a vertex from C
+        to X (BK_Degen's top level), an edge out of the compat copy
+        ``rem``, which at edge root i holds exactly the edges after i."""
         adj = self.adj
         wanted = set(wanted)
         if order is None:
             if wanted:
                 self._vbb(self, [], set(adj), set())
             return
-        rem = {v: set(nbrs) for v, nbrs in adj.items()}
         swept = order[: max(wanted, default=-1) + 1]
-        if not vertices:
-            if self.d > 1:
-                self.rank = {e: i for i, e in enumerate(order)}
-            # The initial branch's Eq.(2) sweep, with rem as its compat
-            # adjacency; no vertex is isolated, so it has no Eq.(3) branch.
-            self._sweep([], None, rem, swept, 0, wanted)
+        if vertices:
+            C, X = set(adj), set()
+            for i, v in enumerate(swept):
+                if i in wanted:
+                    self._branch([], C, X, (v,))
+                else:
+                    C.discard(v)
+                    X.add(v)
             return
-        for i, v in enumerate(swept):
-            # C = the later neighbours of v; nothing is excluded from the
-            # initial branch, so X is every earlier one.
-            C = rem.pop(v)
-            for u in C:
-                rem[u].discard(v)
-            if i in wanted:
-                self._vbb(self, [v], C, adj[v] - C)
+        if self.d > 1:
+            self.rank = {e: i for i, e in enumerate(order)}
+        # The initial branch's Eq.(2) sweep, with rem as its compat
+        # adjacency; no vertex is isolated, so it has no Eq.(3) branch.
+        rem = {v: set(nbrs) for v, nbrs in adj.items()}
+        self._sweep([], None, rem, swept, 0, wanted)
 
     def _sweep(
         self, S: list[int], CX: set[int] | None, live: dict[int, set[int]], edges: Iterable[Pair],
@@ -174,8 +172,9 @@ class Enumerator:
         # counts on large graphs — fewer calls than edges — imply the same): an
         # empty candidate set emits at most S, and an exclusion vertex adjacent
         # to every candidate blocks every clique of the branch. A live branch is
-        # one call, counted where it runs: by the kernel's _enter after a
-        # hand-off, here when this level sweeps it.
+        # one call, counted where it runs: by the kernel (or the _leaf it
+        # settles the branch by) after a hand-off, here when this level
+        # sweeps it.
         if not C:
             if not X:
                 self.emit(S)
@@ -199,32 +198,30 @@ class Enumerator:
                 self.emit(S + [v])
 
     # -- helpers -----------------------------------------------------------
-    def _enter(self, S: list[int], C: set[int], X: set[int]) -> bool:
-        """Count the call and settle the branches every kernel handles the
-        same way; True when the branch is done.
+    def _leaf(self, S: list[int], C: set[int], X: set[int]) -> None:
+        """The one leaf rule: settle a branch with |C| <= 1 in one call, the
+        same way under every kernel and wherever the branch was built.
 
-        Empty C: S is maximal iff X is empty. |C| == 1: the only candidate
-        clique is S ∪ {v}, maximal iff no exclusion vertex is adjacent to v
-        (every x in X is already adjacent to all of S); S alone can never be
-        maximal (v extends it). Counter-wise this is a 1-plex branch.
-        ``_branch`` settles its small children by this rule in its own loop;
-        ``tests/test_kernels.py`` pins the two to the same counts."""
+        Empty C: S is maximal iff X is empty (S is empty only at the global
+        root of an empty core, which emits nothing). C = {v}: the only
+        candidate clique is S ∪ {v}, maximal iff no exclusion vertex is
+        adjacent to v (every x in X is already adjacent to all of S); S
+        alone can never be maximal (v extends it). Counter-wise this is a
+        1-plex branch. The clique is appended sorted, as ``emit`` would,
+        without the call."""
         st = self.stats
         st.calls += 1
         if not C:
-            if not X:
-                self.emit(S)
-            return True
-        if len(C) > 1:
-            return False
+            if not X and S:
+                self.out.append(tuple(sorted(S)))
+            return
         if self.et_t > 0:
             st.et_plex += 1
             if not X:
                 st.et_applied += 1
         (v,) = C
-        if not (X & self.adj[v]):
-            self.emit(S + [v])
-        return True
+        if X.isdisjoint(self.adj[v]):
+            self.out.append(tuple(sorted(S + [v])))
 
     def _ghost_free(self, C: set[int], nbr_in_c: dict[int, set[int]]) -> bool:
         """True iff every G-edge inside C is compat — then the branch's
@@ -256,24 +253,15 @@ class Enumerator:
         return True
 
     # -- branching ---------------------------------------------------------
-    def _branch(
-        self, S: list[int], Cc: set[int], Xc: set[int], ws: Iterable[int], rec: Kernel
-    ) -> None:
+    def _branch(self, S: list[int], Cc: set[int], Xc: set[int], ws: Iterable[int]) -> None:
         """Branch on each vertex w of ``ws`` in turn, then move w from ``Cc``
         to ``Xc`` (the BK 'exclude after branching' step; both sets are
         updated in place). The child's C and X are the members of Cc and Xc
         G-adjacent to w, except that ghost candidates (G-adjacent to w but
-        not compat with it) drop into X. A child with |C| >= 2 runs in
-        ``rec``, which owns the two fresh sets; a smaller one is settled here,
-        without a frame, exactly as ``_enter`` would settle it: one call, S'
-        maximal iff X' is empty when C' is, and S' ∪ {v} maximal iff no
-        exclusion vertex is adjacent to v (a 1-plex branch) when C' = {v}.
-        Its clique is appended sorted, as ``emit`` would, without the call."""
+        not compat with it) drop into X. A child with |C| >= 2 runs in the
+        kernel, which owns the two fresh sets; a smaller one in ``_leaf``."""
         adj = self.adj
         cadj = self.cadj
-        st = self.stats
-        plex = self.et_t > 0
-        out = self.out
         for w in ws:
             nbrs = adj[w]
             Cw = Cc & nbrs
@@ -284,27 +272,17 @@ class Enumerator:
                     Xw |= Cw - compat
                 Cw = compat
             if len(Cw) > 1:
-                rec(S + [w], Cw, Xw)
+                self._vbb(self, S + [w], Cw, Xw)
             else:
-                st.calls += 1
-                if not Cw:
-                    if not Xw:
-                        out.append(tuple(sorted(S + [w])))
-                else:
-                    if plex:
-                        st.et_plex += 1
-                        if not Xw:
-                            st.et_applied += 1
-                    (v,) = Cw
-                    if Xw.isdisjoint(adj[v]):
-                        out.append(tuple(sorted(S + [w, v])))
+                self._leaf(S + [w], Cw, Xw)
             Cc.discard(w)
             Xc.add(w)
 
     # -- kernel: tomita (classic pivot) ------------------------------------
     def vbb_tomita(self, S: list[int], C: set[int], X: set[int]) -> None:
-        if self._enter(S, C, X):
-            return
+        if len(C) < 2:
+            return self._leaf(S, C, X)
+        self.stats.calls += 1
         adj = self.adj
         best_p, best_cnt = -1, -1
         min_deg = len(C)
@@ -322,12 +300,13 @@ class Enumerator:
             cnt = len(C & adj[x])
             if cnt > best_cnt or (cnt == best_cnt and x < best_p):
                 best_cnt, best_p = cnt, x
-        self._branch(S, C, X, sorted(C - adj[best_p]), self.vbb_tomita)
+        self._branch(S, C, X, sorted(C - adj[best_p]))
 
     # -- kernel: rcd (min-degree removal) ----------------------------------
     def vbb_rcd(self, S: list[int], C: set[int], X: set[int]) -> None:
-        if self._enter(S, C, X):
-            return
+        if len(C) < 2:
+            return self._leaf(S, C, X)
+        self.stats.calls += 1
         adj = self.adj
         while C:
             nc = len(C)
@@ -348,14 +327,15 @@ class Enumerator:
                 if not any(C <= adj[x] for x in X):
                     self.emit(S + list(C))
                 return
-            self._branch(S, C, X, (min_v,), self.vbb_rcd)
+            self._branch(S, C, X, (min_v,))
         # All candidates branched away: X (which now contains at least the
         # last v) extends S, so S is not maximal and nothing is emitted.
 
     # -- kernel: fac (adaptive cheap pivot) --------------------------------
     def vbb_fac(self, S: list[int], C: set[int], X: set[int]) -> None:
-        if self._enter(S, C, X):
-            return
+        if len(C) < 2:
+            return self._leaf(S, C, X)
+        self.stats.calls += 1
         adj = self.adj
         if self.et_t > 0 and min(len(C & adj[v]) for v in C) >= len(C) - self.et_t:
             if self._early_term(S, C, X):
@@ -363,7 +343,7 @@ class Enumerator:
         P = C - adj[min(C)]
         while P:
             u = min(P)
-            self._branch(S, C, X, (u,), self.vbb_fac)
+            self._branch(S, C, X, (u,))
             P.discard(u)
             P2 = C - adj[u]
             if len(P2) < len(P):

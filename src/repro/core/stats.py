@@ -5,10 +5,10 @@ These back the quantities reported in the paper's tables:
 - ``calls``      — branch calls, one per branch that runs (vertex-oriented
                    kernel calls plus edge-oriented sweeps), the "#Calls"
                    columns of Tables IV and V. An edge branch handed to
-                   the vertex kernel is one call, the kernel's; a kernel
-                   child with |C| <= 1, settled in its parent's loop
-                   without a kernel call, is still one; a branch pruned
-                   at creation is none.
+                   the vertex kernel is one call, the kernel's; a branch
+                   with |C| <= 1, settled by ``Enumerator._leaf`` without
+                   a kernel frame, is still one; a branch pruned at
+                   creation is none.
 - ``et_plex``    — branches whose candidate graph is a t-plex (the ``b`` of
                    Table V's Ratio column).
 - ``et_applied`` — branches early-terminated (t-plex *and* empty exclusion

@@ -307,6 +307,44 @@ def test_counters_pinned_gr_heavy():
     assert measured == PINNED_COUNTERS_GR_HEAVY
 
 
+#: (calls, et_plex, et_applied, cliques, root_branches, gr_cliques) summed
+#: over the 16 test-scale surrogates, per configuration: every
+#: ``ALGORITHMS`` name (d = None) and Fac++, HBBMC++, HBBMC-dgn and Rcd++ at
+#: d = 2, so a refactor of the search steps is checked on every surrogate,
+#: not on OR alone. Re-recorded only by a change meant to alter the search,
+#: like ``PINNED_COUNTERS``, and said so in CHANGES.md; a speed-up or
+#: refactor must not move them.
+PINNED_COUNTERS_SURROGATES = {
+    ("Fac++", None): (12682, 11182, 4548, 11521, 17852, 0),
+    ("HBBMC+", None): (15536, 0, 0, 11521, 17852, 0),
+    ("HBBMC++", None): (10835, 9587, 4702, 11521, 17852, 0),
+    ("HBBMC-dgn", None): (10339, 8237, 3849, 11521, 17852, 0),
+    ("HBBMC-mdg", None): (9927, 7155, 3333, 11521, 17852, 0),
+    ("RDegen", None): (21605, 0, 0, 11521, 3625, 0),
+    ("RFac", None): (25513, 0, 0, 11521, 3625, 0),
+    ("RRcd", None): (14248, 0, 0, 11521, 3625, 0),
+    ("RRef", None): (20493, 0, 0, 11521, 16, 0),
+    ("Rcd++", None): (8342, 9241, 3106, 11521, 17852, 0),
+    ("VBBMC-dgn", None): (14652, 6779, 3361, 11521, 3625, 0),
+    ("Fac++", 2): (9279, 2648, 1161, 11521, 17852, 0),
+    ("HBBMC++", 2): (8803, 2172, 1373, 11521, 17852, 0),
+    ("HBBMC-dgn", 2): (8117, 2197, 1340, 11521, 17852, 0),
+    ("Rcd++", 2): (8274, 1829, 1004, 11521, 17852, 0),
+}
+
+
+def test_counters_pinned_all_surrogates():
+    assert {name for name, _ in PINNED_COUNTERS_SURROGATES} == set(ALGORITHMS)
+    graphs = [load_local(name, "test") for name in DATASET_NAMES]
+    measured = {}
+    for name, d in PINNED_COUNTERS_SURROGATES:
+        total = BranchStats()
+        for g in graphs:
+            total.merge(run_named(g, name, **({} if d is None else {"d": d})).stats)
+        measured[(name, d)] = tuple(total.as_dict().values())
+    assert measured == PINNED_COUNTERS_SURROGATES
+
+
 SPLIT_CONFIGS = [
     *[
         pytest.param("HBBMC++", {"d": d, "root": eo}, id=f"hybrid-d{d}-{eo}")
@@ -408,18 +446,21 @@ def test_import_leaves_recursion_limit():
 
 
 def test_deep_clique_raises_recursion_limit():
-    """K_400 nests 400 kernel levels on one global root, and about 399 below
-    the edge sweep's frames on the first edge root of HBBMC+ (no ET), more
-    frames than Python's default limit of 1000 allows; run_roots raises the
+    """K_400 nests 400 kernel levels on one global root, about 399 below
+    the edge sweep's frames on the first edge root of HBBMC+ (no ET), and
+    399 below the first vertex root's ``_branch`` frame of RDegen: about 800
+    frames each, more than the limit of 500 the interpreter starts from
+    here (Python's default of 1000 would hold them); run_roots raises the
     limit."""
     code = (
-        "import itertools; "
+        "import itertools, sys; "
+        "sys.setrecursionlimit(500); "
         "from repro.core.hbbmc import run_named; "
         "from repro.core.localgraph import LocalGraph; "
         "g = LocalGraph.from_edges(itertools.combinations(range(400), 2)); "
-        "print([run_named(g, a).cliques == [tuple(range(400))] for a in ('RRef', 'HBBMC+')])"
+        "print([run_named(g, a).cliques == [tuple(range(400))] for a in ('RRef', 'HBBMC+', 'RDegen')])"
     )
-    assert _fresh_python(code) == "[True, True]"
+    assert _fresh_python(code) == "[True, True, True]"
 
 
 def test_benchmark_patch_points_are_reached(monkeypatch):

@@ -82,13 +82,33 @@ def test_et_disabled_still_correct_but_more_calls():
     assert off.stats.et_applied == 0
 
 
-def test_single_candidate_fast_path_maximality():
-    """|C| = 1 with an X vertex adjacent to the candidate: nothing maximal."""
-    g = LocalGraph.from_edges([(0, 1), (0, 2), (1, 2)])
-    enum = Enumerator(g.adj)
-    # S = [0], C = {1}, X = {2}: {0,1} is blocked by 2
-    enum.vbb_tomita([0], {1}, {2})
-    assert enum.out == []
+#: A triangle 0-1-2 with a pendant 3 on 0. Each branch (S, C, X) with
+#: |C| <= 1 holds every common neighbour of S in C ∪ X, with its clique out
+#: (or None when X blocks it) and whether ET applies to it (a |C| = 1 branch
+#: is a 1-plex branch, applied iff X is empty).
+PENDANT = LocalGraph.from_edges([(0, 1), (0, 2), (1, 2), (0, 3)])
+LEAVES = [
+    pytest.param([0], {1}, {2, 3}, None, False, id="one-blocked"),
+    pytest.param([0], {3}, {1, 2}, (0, 3), False, id="one-emits-beside-x"),
+    pytest.param([0, 1], {2}, set(), (0, 1, 2), True, id="one-emits-et"),
+    pytest.param([0, 1, 2], set(), set(), (0, 1, 2), None, id="empty-emits"),
+    pytest.param([0, 1], set(), {2}, None, None, id="empty-blocked"),
+]
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+@pytest.mark.parametrize("et_t", [0, 3])
+@pytest.mark.parametrize("S,C,X,clique,applied", LEAVES)
+def test_single_candidate_fast_path_maximality(kernel, et_t, S, C, X, clique, applied):
+    """A kernel entered with |C| <= 1 settles the branch in one call: empty
+    C emits S iff X is empty, C = {v} emits S ∪ {v} iff no X vertex is
+    adjacent to v and counts a 1-plex branch when ET is on."""
+    enum = Enumerator(PENDANT.adj, kernel=kernel, et_t=et_t)
+    KERNELS[kernel](enum, S, C, X)
+    plex = bool(et_t) and applied is not None
+    st = enum.stats
+    assert (st.calls, st.et_plex, st.et_applied) == (1, int(plex), int(plex and applied))
+    assert enum.out == ([] if clique is None else [clique])
 
 
 #: A hub 9 adjacent to 0..8, and among the rest the edges 0-1, 2-3, 7-8, 5-2,
@@ -118,9 +138,9 @@ LEAFY_COUNTS = {"tomita": (6, 2, 1), "rcd": (6, 5, 0), "fac": (7, 3, 1)}
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 @pytest.mark.parametrize("et_t", [0, 3])
 def test_kernel_settles_leaf_children_hand_counted(kernel, et_t):
-    """Children with |C| <= 1 are settled in the parent's loop: each is one
-    call, a |C| = 1 child is a 1-plex branch, and a child blocked by X
-    emits nothing."""
+    """Every child here has |C| <= 1, so ``_branch`` hands each to
+    ``_leaf``, the one leaf rule: each is one call, a |C| = 1 child is a
+    1-plex branch, and a child blocked by X emits nothing."""
     enum = Enumerator(LEAFY.adj, kernel=kernel, et_t=et_t)
     KERNELS[kernel](enum, [9], {0, 1, 2, 3, 4, 7, 8}, {5, 6})
     calls, et_plex, et_applied = LEAFY_COUNTS[kernel]
